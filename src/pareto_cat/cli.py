@@ -206,6 +206,13 @@ def cmd_rate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--cap", type=int, default=10**6,
@@ -229,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frontier", help="exact frontier by exhaustive scan")
     _add_common(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="split the admissibility scan (result is thread-count independent)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and unused: results are identical for any value")
     p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("lambda", help="strict improvement mass of one system")
     _add_common(p)
     p.add_argument("system", help="comma-separated object ids, e.g. 0,2,1")
     p.add_argument("--exact", action="store_true", help="exact rational output")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("particle", help="single-particle search trace")
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coarsening steps allowed when reversing an improvement")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=10**5)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_swarm)
 
     p = sub.add_parser("certify", help="is a system within epsilon of the exact frontier")

@@ -11,15 +11,16 @@ machine-readable code such as ``rescat.hom.transitivity``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from decimal import Decimal
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import LoadError, StructureError
-from .rescat import ResourceCategory, TargetCategory, close_hom, validate_category
+from .rescat import ResourceCategory, TargetCategory, _check_shape, close_hom, validate_category
 from .scale import ScaleObject
 from .summing import DEFAULT_CAP, count_functors
 from .valuation import Objective, ObjectDistribution, ValuationSystem
@@ -28,11 +29,11 @@ from .valuation import Objective, ObjectDistribution, ValuationSystem
 def _parse_weight(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    s = str(x)
     try:
-        return Fraction(s)
+        return Fraction(str(x))
     except ValueError:
-        return Fraction(Decimal(s))
+        raise LoadError("distribution.shape", "distribution.weights",
+                        f"weight {x!r} is not a number")
 
 
 def _weight_json(w: Fraction):
@@ -46,10 +47,15 @@ def _weight_json(w: Fraction):
     return f"{w.numerator}/{w.denominator}"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class ScaleData:
     grid_len: int
-    tables: tuple  # [objective][rank] -> tuple of grid values
+    tables: tuple  # [objective] -> int array, row ``rank`` holds its grid values
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ScaleData) and self.grid_len == other.grid_len
+                and len(self.tables) == len(other.tables)
+                and all(np.array_equal(a, b) for a, b in zip(self.tables, other.tables)))
 
 
 @dataclass(frozen=True, eq=True)
@@ -72,19 +78,12 @@ class Instance:
             raise LoadError("scale.missing", "scale", "instance has no scale section")
         rank = self.system.rank(values)
         target = self.objectives[alpha].target
-        return ScaleObject(target, self.scale.tables[alpha][rank])
+        return ScaleObject(target, self.scale.tables[alpha][rank].tolist())
 
     def admissible_mass(self, exact: bool = False):
         """Product-measure mass of the admissible set (0 iff it is empty)."""
-        from .summing import tuple_unrank
-
-        flags = self.system.admissible_flags
-        total = Fraction(0) if exact else 0.0
-        for r, ok in enumerate(flags):
-            if ok:
-                tup = tuple_unrank(self.cat.size, self.n, r)
-                total += self.distribution.tuple_weight(tup, exact=exact)
-        return total
+        ranks = np.flatnonzero(self.system.admissible_mask)
+        return self.distribution.mass(self.system.digits(ranks), exact=exact)
 
 
 def _bool_table(rows, path: str) -> list:
@@ -93,45 +92,53 @@ def _bool_table(rows, path: str) -> list:
     return [[bool(x) for x in r] for r in rows]
 
 
-def _build_target(doc: dict, path: str, use_closure: bool) -> TargetCategory:
+def _build_category(doc, path: str, use_closure: bool, resource: bool = False):
+    """A target category from its ``objects``, ``hom`` and ``iso_classes``
+    fields; a resource category also reads ``unit`` and ``tensor``."""
+    if not isinstance(doc, dict):
+        raise LoadError("category.shape", path, "category must be an object")
     try:
-        size = int(doc["objects"])
-        hom = _bool_table(doc["hom"], path + ".hom")
-        iso = doc["iso_classes"]
-    except KeyError as e:
-        raise LoadError("category.shape", path, f"missing field {e}")
-    if use_closure:
-        hom = close_hom(hom)
-    cat = TargetCategory(size, hom, iso)
-    try:
-        cat.iso_class_of
-        if len(cat.hom) != size or any(len(r) != size for r in cat.hom):
-            raise StructureError("hom shape")
-    except StructureError as e:
-        raise LoadError("category.shape", path, str(e))
-    return cat
-
-
-def _build_category(doc: dict, use_closure: bool) -> ResourceCategory:
-    path = "category"
-    try:
-        size = int(doc["objects"])
-        hom = _bool_table(doc["hom"], path + ".hom")
-        iso = doc["iso_classes"]
-        unit = int(doc["unit"])
-        tensor = doc["tensor"]
-    except KeyError as e:
-        raise LoadError("category.shape", path, f"missing field {e}")
-    if use_closure:
-        hom = close_hom(hom)
-    cat = ResourceCategory(size, hom, iso, unit, tensor)
-    try:
-        from .rescat import _check_shape
-
+        fields = [int(doc["objects"]), _bool_table(doc["hom"], path + ".hom"),
+                  doc["iso_classes"]]
+        if resource:
+            fields += [int(doc["unit"]), doc["tensor"]]
+        cat = (ResourceCategory if resource else TargetCategory)(*fields)
         _check_shape(cat)
-    except StructureError as e:
+    except KeyError as e:
+        raise LoadError("category.shape", path, f"missing field {e}")
+    except (StructureError, TypeError, ValueError) as e:
         raise LoadError("category.shape", path, str(e))
+    if use_closure:
+        cat = replace(cat, hom=close_hom(cat.hom))
     return cat
+
+
+def _grid_table(table, total: int, grid_len: int, size: int, path: str) -> np.ndarray:
+    """One objective's scale table as a (systems, grid_len) int array.
+
+    Rows are checked in rank order: the first row with the wrong shape or
+    a value out of ``0..size-1`` is the one reported.
+    """
+    if not isinstance(table, list) or len(table) != total:
+        raise LoadError("scale.shape", path, f"need {total} rows (one per system)")
+
+    def grid(rows) -> Optional[np.ndarray]:
+        try:
+            arr = np.array(rows, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return arr if arr.shape == (len(rows), grid_len) else None
+
+    arr, good = grid(table), total
+    if arr is None:
+        good = next(r for r, row in enumerate(table) if grid([row]) is None)
+        arr = np.array(table[:good], dtype=np.int64).reshape(good, grid_len)
+    out = np.flatnonzero(((arr < 0) | (arr >= size)).any(axis=1))
+    if out.size:
+        raise LoadError("scale.range", f"{path}[{out[0]}]", "grid value out of range")
+    if good < total:
+        raise LoadError("scale.shape", f"{path}[{good}]", f"need {grid_len} grid values")
+    return arr
 
 
 def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False) -> Instance:
@@ -141,8 +148,11 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
     for key in ("category", "system_size", "valuations", "distribution"):
         if key not in doc:
             raise LoadError("parse.shape", "$", f"missing section {key!r}")
-    cat = _build_category(doc["category"], use_closure)
-    n = int(doc["system_size"])
+    cat = _build_category(doc["category"], "category", use_closure, resource=True)
+    try:
+        n = int(doc["system_size"])
+    except (TypeError, ValueError):
+        raise LoadError("parse.shape", "system_size", "system size must be an integer")
     if n < 0:
         raise LoadError("parse.shape", "system_size", "system size must be >= 0")
 
@@ -152,21 +162,23 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
         raise LoadError("valuation.shape", "valuations", "need at least one objective")
     for i, v in enumerate(vals):
         path = f"valuations[{i}]"
-        target = _build_target(v.get("target", {}), path + ".target", use_closure)
+        if not isinstance(v, dict) or not isinstance(v.get("map", {}), dict):
+            raise LoadError("valuation.shape", path, "valuation and its map must be objects")
+        target = _build_category(v.get("target", {}), path + ".target", use_closure)
         m = v.get("map", {})
         kind = m.get("kind")
-        if kind == "table":
-            entries = tuple(int(x) for x in m.get("entries", []))
-            objectives.append(Objective(target=target, goal=int(v.get("goal", -1)),
-                                        kind="table", entries=entries))
-        elif kind == "composed":
-            h = tuple(int(x) for x in m.get("h", []))
-            objectives.append(Objective(target=target, goal=int(v.get("goal", -1)),
-                                        kind="composed", h=h))
-        else:
+        if kind not in ("table", "composed"):
             raise LoadError("valuation.kind", path + ".map.kind", f"unknown kind {kind!r}")
+        field_name = "entries" if kind == "table" else "h"
+        try:
+            goal = int(v.get("goal", -1))
+            values = tuple(int(x) for x in m.get(field_name, []))
+        except (TypeError, ValueError) as e:
+            raise LoadError("valuation.shape", path, str(e))
+        objectives.append(Objective(target=target, goal=goal, kind=kind, **{field_name: values}))
 
-    dw = doc["distribution"].get("weights")
+    ddoc = doc["distribution"]
+    dw = ddoc.get("weights") if isinstance(ddoc, dict) else None
     if not isinstance(dw, list):
         raise LoadError("distribution.shape", "distribution.weights", "weights must be a list")
     dist = ObjectDistribution([_parse_weight(w) for w in dw])
@@ -174,7 +186,12 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
     scale = None
     if "scale" in doc and doc["scale"] is not None:
         sdoc = doc["scale"]
-        grid_len = int(sdoc.get("grid_len", 0))
+        if not isinstance(sdoc, dict):
+            raise LoadError("scale.shape", "scale", "scale must be an object")
+        try:
+            grid_len = int(sdoc.get("grid_len", 0))
+        except (TypeError, ValueError):
+            grid_len = 0  # reported below as a bad grid_len
         if grid_len < 1:
             raise LoadError("scale.shape", "scale.grid_len", "grid_len must be >= 1")
         tables = sdoc.get("valuations_scaled")
@@ -182,32 +199,23 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
         if not isinstance(tables, list) or len(tables) != len(objectives):
             raise LoadError("scale.shape", "scale.valuations_scaled",
                             f"need one table per objective ({len(objectives)})")
-        frozen = []
-        for a, table in enumerate(tables):
-            if len(table) != total:
-                raise LoadError("scale.shape", f"scale.valuations_scaled[{a}]",
-                                f"need {total} rows (one per system)")
-            rows = []
-            for r, row in enumerate(table):
-                if len(row) != grid_len:
-                    raise LoadError("scale.shape", f"scale.valuations_scaled[{a}][{r}]",
-                                    f"need {grid_len} grid values")
-                tsize = objectives[a].target.size
-                vals_row = tuple(int(x) for x in row)
-                if any(not 0 <= x < tsize for x in vals_row):
-                    raise LoadError("scale.range", f"scale.valuations_scaled[{a}][{r}]",
-                                    "grid value out of range")
-                rows.append(vals_row)
-            frozen.append(tuple(rows))
+        frozen = [
+            _grid_table(table, total, grid_len, objectives[a].target.size,
+                        f"scale.valuations_scaled[{a}]")
+            for a, table in enumerate(tables)
+        ]
         scale = ScaleData(grid_len=grid_len, tables=tuple(frozen))
 
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise LoadError("parse.shape", "metadata", "metadata must be an object")
     return Instance(
         cat=cat,
         n=n,
         objectives=tuple(objectives),
         distribution=dist,
         scale=scale,
-        metadata=dict(doc.get("metadata", {})),
+        metadata=dict(metadata),
         cap=cap,
     )
 
@@ -230,18 +238,17 @@ def validate_instance(inst: Instance) -> list:
         if count_functors(inst.cat.size, inst.n) <= inst.cap:
             problems.extend(inst.system.validate_maps())
         if inst.scale is not None:
-            for a in range(len(inst.objectives)):
-                target = inst.objectives[a].target
-                for r, row in enumerate(inst.scale.tables[a]):
-                    try:
-                        ScaleObject(target, row)
-                    except StructureError as e:
-                        problems.append(LoadError(
-                            "scale.transition",
-                            f"scale.valuations_scaled[{a}][{r}]",
-                            str(e),
-                        ))
-                        break
+            # each grid value must convert into the next one
+            for a, table in enumerate(inst.scale.tables):
+                hom = np.asarray(inst.objectives[a].target.hom)
+                broken = np.argwhere(~hom[table[:, :-1], table[:, 1:]])
+                if len(broken):
+                    r, s = broken[0]
+                    problems.append(LoadError(
+                        "scale.transition", f"scale.valuations_scaled[{a}][{r}]",
+                        f"missing transition arrow {table[r, s]} -> {table[r, s + 1]} "
+                        f"at scale {s}",
+                    ))
     return problems
 
 
@@ -304,7 +311,7 @@ def emit_instance(inst: Instance) -> dict:
         doc["scale"] = {
             "grid_len": inst.scale.grid_len,
             "valuations_scaled": [
-                [list(row) for row in table] for table in inst.scale.tables
+                table.tolist() for table in inst.scale.tables
             ],
         }
     return doc

@@ -13,7 +13,7 @@ induced probabilistic objects and cocones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -25,11 +25,9 @@ from .rescat import TargetCategory
 from .valuation import (
     ObjectDistribution,
     ValuationSystem,
-    admissible,
     images_of,
     longest_strict_chains,
     minorization_mass,
-    minorizes,
 )
 
 ESTIMATE_TOL = 1e-12

@@ -18,7 +18,7 @@ assuming either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .instance import Instance
 from .particle import sample_admissible
 from .scale import interleaving_distance
-from .valuation import admissible, longest_strict_chains, minorizes, pareto_frontier
+from .valuation import ImprovementChains, admissible, minorizes, pareto_frontier
 
 
 @dataclass(frozen=True)
@@ -107,22 +107,6 @@ def _reversible_improvement(inst: Instance, src: tuple, dst: tuple, eps: int) ->
     return True
 
 
-def _chains_ending_at(j: int, edge, best) -> list:
-    """All maximal-length improvement chains that end at index j."""
-    out: list = []
-
-    def walk(i: int, suffix: list) -> None:
-        if best[i] == 1:
-            out.append(tuple([i] + suffix))
-            return
-        for p in range(i):
-            if edge[p][i] and best[p] == best[i] - 1:
-                walk(p, [i] + suffix)
-
-    walk(j, [])
-    return out
-
-
 def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     """Deterministic for a fixed seed: per-particle RNG substreams are
     spawned up front and every search loop runs in fixed index order."""
@@ -136,17 +120,20 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     gens = [np.random.default_rng(s) for s in streams]
     counters = [[0, 0] for _ in range(n_particles)]
 
-    positions: list = [[] for _ in range(n_particles)]
+    chains = [ImprovementChains(system) for _ in range(n_particles)]
+    positions = [c.draws for c in chains]
+
+    def draw(i: int) -> list:
+        """Particle i's next position; returns the earlier ones it strictly improves on."""
+        return chains[i].add(
+            sample_admissible(system, inst.distribution, gens[i], config.budget, counters[i]))
+
     for i in range(n_particles):
-        positions[i].append(
-            sample_admissible(system, inst.distribution, gens[i], config.budget, counters[i])
-        )
+        draw(i)
 
     flags: list = []
     flagged_keys: set = set()
     cross_links: list = []
-    # incremental improvement DAG per particle: edge[i][a][b] for a < b
-    edges: list = [[[False]] for _ in range(n_particles)]
 
     def add_flag(particle: int, k: int, functor: tuple, witness: tuple) -> None:
         key = (particle, k)
@@ -155,55 +142,23 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
             flags.append(FlagEntry(particle, k, functor, witness, config.epsilon))
 
     for k in range(1, n_rounds + 1):
-        for i in range(n_particles):
-            positions[i].append(
-                sample_admissible(system, inst.distribution, gens[i], config.budget, counters[i])
-            )
-            for row in edges[i]:
-                row.append(False)
-            edges[i].append([False] * (k + 1))
-            for a in range(k):
-                edges[i][a][k] = minorizes(system, positions[i][a], positions[i][k], strict=True)
+        preds = [draw(i) for i in range(n_particles)]
 
         flagged_this_round = set()
         for i in range(n_particles):
-            edge = edges[i]
-            best = [1] * (k + 1)
-            for b in range(k + 1):
-                for a in range(b):
-                    if edge[a][b] and best[a] + 1 > best[b]:
-                        best[b] = best[a] + 1
             hits = [
-                a for a in range(k)
-                if edge[a][k] and _reversible_improvement(
-                    inst, positions[i][a], positions[i][k], config.epsilon)
+                a for a in preds[i]
+                if _reversible_improvement(inst, positions[i][a], positions[i][k], config.epsilon)
             ]
             if hits:
-                top = max(best[a] for a in hits)
-                candidates = []
-                for a in hits:
-                    if best[a] == top:
-                        for c in _chains_ending_at(a, edge, best):
-                            candidates.append(c + (k,))
-                chain = min(candidates)
+                chain = chains[i].best_chain(hits) + (k,)
                 add_flag(i, k, positions[i][k], tuple((i, idx) for idx in chain))
                 flagged_this_round.add(i)
 
         for i in range(n_particles):
             if i in flagged_this_round:
                 continue
-            edge = edges[i]
-            best = [1] * (k + 1)
-            for b in range(k + 1):
-                for a in range(b):
-                    if edge[a][b] and best[a] + 1 > best[b]:
-                        best[b] = best[a] + 1
-            top = max(best)
-            own_chains = []
-            for j in range(k + 1):
-                if best[j] == top:
-                    own_chains.extend(_chains_ending_at(j, edge, best))
-            chain = min(own_chains)
+            chain = chains[i].best_chain()
             tip = chain[-1]
             tip_draw = positions[i][tip]
             for j in range(n_particles):
@@ -216,31 +171,16 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
                         witness = tuple((i, idx) for idx in chain) + ((j, k),)
                         add_flag(j, k, cand, witness)
 
-    final_chains = tuple(
-        tuple(longest_strict_chains(system, positions[i])) for i in range(n_particles)
-    )
+    final_chains = tuple(tuple(c.all_longest()) for c in chains)
     frontier = pareto_frontier(system)
     certified = [
         certify_neighborhood(inst, f.functor, config.epsilon, _frontier=frontier)
         for f in flags
     ]
-    represented = 0
-    for group in frontier.groups:
-        hit = False
-        for f in flags:
-            for member in group.members:
-                if all(
-                    interleaving_distance(
-                        inst.scaled_image(a, f.functor), inst.scaled_image(a, member)
-                    ) <= config.epsilon
-                    for a in range(len(inst.objectives))
-                ):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            represented += 1
+    represented = sum(
+        any(_near(inst, f.functor, group.members, config.epsilon) for f in flags)
+        for group in frontier.groups
+    )
 
     lengths = [max((len(c) for c in per), default=1) for per in final_chains]
     hist: dict = {}
@@ -280,12 +220,15 @@ def certify_neighborhood(inst: Instance, values: Sequence[int], eps: int,
     if not admissible(inst.system, values):
         raise PreconditionError(f"system {values} is not admissible")
     frontier = _frontier if _frontier is not None else pareto_frontier(inst.system)
-    mine = [inst.scaled_image(a, values) for a in range(len(inst.objectives))]
-    for group in frontier.groups:
-        for member in group.members:
-            if all(
-                interleaving_distance(mine[a], inst.scaled_image(a, member)) <= eps
-                for a in range(len(inst.objectives))
-            ):
-                return True
-    return False
+    return _near(inst, values, (m for g in frontier.groups for m in g.members), eps)
+
+
+def _near(inst: Instance, values: tuple, members, eps: int) -> bool:
+    """Is one of ``members`` within interleaving distance ``eps`` of
+    ``values`` in every objective?"""
+    alphas = range(len(inst.objectives))
+    mine = [inst.scaled_image(a, values) for a in alphas]
+    return any(
+        all(interleaving_distance(mine[a], inst.scaled_image(a, m)) <= eps for a in alphas)
+        for m in members
+    )

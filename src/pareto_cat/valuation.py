@@ -8,20 +8,25 @@ every objective's image converts into that objective's goal. ``psi``
 improves on ``phi`` when every objective has an arrow from the image of
 ``phi`` to the image of ``psi``; the frontier collects admissible
 systems that no admissible system strictly improves on.
+
+Every route reads one table layer on :class:`ValuationSystem`: numpy
+arrays indexed by a system's lexicographic rank, plus one arrow matrix
+between the distinct image-class vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, LoadError, PreconditionError, StructureError
+from .errors import CapacityError, LoadError, PreconditionError
 from .rescat import ResourceCategory, TargetCategory
-from .summing import DEFAULT_CAP, count_functors, evaluate, tuple_rank, tuple_unrank
+from .summing import DEFAULT_CAP, count_functors, tuple_rank
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,6 @@ class Objective:
     kind: str
     entries: Optional[tuple] = None
     h: Optional[tuple] = None
-
-    def image(self, cat: ResourceCategory, values: Sequence[int], rank: Optional[int] = None) -> int:
-        if self.kind == "table":
-            if rank is None:
-                rank = tuple_rank(cat.size, values)
-            return self.entries[rank]
-        return self.h[evaluate(cat, values, range(len(values)))]
 
 
 @dataclass(frozen=True)
@@ -78,17 +76,38 @@ class ObjectDistribution:
         arr.setflags(write=False)
         return arr
 
+    def mass(self, systems: np.ndarray, exact: bool = False):
+        """Product-measure mass of the systems given as rows of object ids.
+
+        Doubles add each row's left-to-right product in row order with
+        Python's ``sum``, so the bits match a per-system loop. Exact mass
+        sums integer numerators over the common denominator D^n as Python
+        ints (D^n overflows int64) and returns a fraction.
+        """
+        if exact:
+            denom = math.lcm(*(w.denominator for w in self.weights))
+            nums = np.array([int(w * denom) for w in self.weights], dtype=object)
+            numerator = sum(nums[systems].prod(axis=1).tolist())
+            return Fraction(numerator, denom ** systems.shape[1])
+        w = self.as_floats[systems]
+        products = np.ones(len(systems))
+        for j in range(systems.shape[1]):
+            products = products * w[:, j]
+        return float(sum(products.tolist()))
+
     def tuple_weight(self, values: Sequence[int], exact: bool = False):
         """Product-measure weight of one system."""
-        if exact:
-            out = Fraction(1)
-            for v in values:
-                out *= self.weights[v]
-            return out
-        out = 1.0
-        for v in values:
-            out *= self.as_floats[v]
-        return out
+        return self.mass(np.array([values], dtype=np.intp).reshape(1, len(values)), exact)
+
+
+class ClassVectors(NamedTuple):
+    """A system's image-class vector is the tuple of target iso classes of
+    its images. ``ids[rank]`` numbers the distinct vectors 0..V-1, and
+    ``arrows[u, v]`` holds when every objective has an arrow from vector
+    u's images to vector v's: improvement only reads iso classes."""
+
+    ids: np.ndarray
+    arrows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,44 +132,64 @@ class ValuationSystem:
                 cap=self.cap,
             )
 
+    def _fold(self, init: int, step) -> np.ndarray:
+        """Per rank, the left fold ``acc = step(acc, digit)`` over the
+        system's digits from ``init``, by iterated gather in rank order."""
+        self._guard()
+        acc = np.array([init])
+        objects = np.arange(self.cat.size)[None, :]
+        for _ in range(self.n):
+            acc = step(acc[:, None], objects).ravel()
+        return acc
+
+    def digits(self, ranks) -> np.ndarray:
+        """The systems at the given ranks, one row of n object ids each."""
+        k = self.cat.size
+        return np.asarray(ranks)[:, None] // k ** np.arange(self.n - 1, -1, -1) % k
+
     @cached_property
     def image_tables(self) -> tuple:
-        """Per objective, the image object for every rank."""
-        self._guard()
-        k, n = self.cat.size, self.n
-        tables = []
-        for obj in self.objectives:
-            if obj.kind == "table":
-                tables.append(tuple(obj.entries))
-            else:
-                import itertools
-
-                tables.append(
-                    tuple(
-                        obj.h[evaluate(self.cat, tup, range(n))]
-                        for tup in itertools.product(range(k), repeat=n)
-                    )
-                )
-        return tuple(tables)
+        """Per objective, the image object of every rank."""
+        tensor = np.asarray(self.cat.tensor)
+        evaluation = self._fold(self.cat.unit, lambda acc, v: tensor[acc, v])
+        return tuple(
+            np.asarray(obj.entries) if obj.kind == "table" else np.asarray(obj.h)[evaluation]
+            for obj in self.objectives
+        )
 
     @cached_property
-    def image_class_vectors(self) -> tuple:
-        """Per rank, the tuple of target iso classes of all objective images."""
-        per_alpha = [
-            tuple(obj.target.iso_class_of[img] for img in table)
-            for obj, table in zip(self.objectives, self.image_tables)
-        ]
-        return tuple(zip(*per_alpha))
+    def admissible_mask(self) -> np.ndarray:
+        """Per rank, whether every objective's image converts into its goal."""
+        mask = np.ones(self.functor_count, dtype=bool)
+        for obj, table in zip(self.objectives, self.image_tables):
+            mask &= np.asarray(obj.target.hom)[table, obj.goal]
+        return mask
 
     @cached_property
     def admissible_flags(self) -> tuple:
-        flags = [True] * self.functor_count
+        return tuple(self.admissible_mask.tolist())
+
+    @cached_property
+    def image_class_vectors(self) -> ClassVectors:
+        """Class-vector ids of every rank, and the arrows between vectors,
+        read off the images of the first rank with each vector."""
+        code = np.zeros(self.functor_count, dtype=np.int64)
         for obj, table in zip(self.objectives, self.image_tables):
-            hom, goal = obj.target.hom, obj.goal
-            for r, img in enumerate(table):
-                if flags[r] and not hom[img][goal]:
-                    flags[r] = False
-        return tuple(flags)
+            code = code * len(obj.target.iso_classes) + np.asarray(obj.target.iso_class_of)[table]
+        _, first, ids = np.unique(code, return_index=True, return_inverse=True)
+        arrows = np.ones((len(first), len(first)), dtype=bool)
+        for obj, table in zip(self.objectives, self.image_tables):
+            images = table[first]
+            arrows &= np.asarray(obj.target.hom)[np.ix_(images, images)]
+        return ClassVectors(ids, arrows)
+
+    @cached_property
+    def iso_representatives(self) -> np.ndarray:
+        """Per rank, the rank of the least system isomorphic to it: every
+        object replaced by the least member of its iso class."""
+        k = self.cat.size
+        least = np.array([self.cat.iso_classes[c][0] for c in self.cat.iso_class_of])
+        return self._fold(0, lambda acc, v: acc * k + least[v])
 
     def rank(self, values: Sequence[int]) -> int:
         if len(values) != self.n:
@@ -166,58 +205,49 @@ class ValuationSystem:
         k, total = self.cat.size, self.functor_count
         for i, obj in enumerate(self.objectives):
             path = f"valuations[{i}]"
-            if obj.kind == "table":
-                if obj.entries is None or len(obj.entries) != total:
-                    problems.append(LoadError("valuation.shape", path + ".map.entries",
-                                              f"table needs {total} entries"))
-                    continue
-                bad = [v for v in obj.entries if not 0 <= v < obj.target.size]
-                if bad:
-                    problems.append(LoadError("valuation.range", path + ".map.entries",
-                                              f"image id {bad[0]} out of range"))
-                    continue
-            elif obj.kind == "composed":
-                if obj.h is None or len(obj.h) != k:
-                    problems.append(LoadError("valuation.shape", path + ".map.h",
-                                              f"composed map needs {k} entries"))
-                    continue
-                if any(not 0 <= v < obj.target.size for v in obj.h):
-                    problems.append(LoadError("valuation.range", path + ".map.h",
-                                              "image id out of range"))
-                    continue
-            else:
+            if obj.kind not in ("table", "composed"):
                 problems.append(LoadError("valuation.kind", path + ".map.kind",
                                           f"unknown kind {obj.kind!r}"))
+                continue
+            table = obj.kind == "table"
+            field, values, want = ((".map.entries", obj.entries, total) if table
+                                   else (".map.h", obj.h, k))
+            if values is None or len(values) != want:
+                problems.append(LoadError("valuation.shape", path + field,
+                                          f"table needs {total} entries" if table
+                                          else f"composed map needs {k} entries"))
+                continue
+            values = np.asarray(values)
+            bad = values[(values < 0) | (values >= obj.target.size)]
+            if bad.size:
+                problems.append(LoadError("valuation.range", path + field,
+                                          f"image id {bad[0]} out of range" if table
+                                          else "image id out of range"))
                 continue
             if not 0 <= obj.goal < obj.target.size:
                 problems.append(LoadError("valuation.range", path + ".goal",
                                           f"goal {obj.goal} out of range"))
         if problems:
             return problems
-        # The map must send isomorphic systems to isomorphic images.
-        cls = self.cat.iso_class_of
+        # The map must send isomorphic systems to isomorphic images; the
+        # first rank of an iso group is its representative.
+        reps = self.iso_representatives
         for i, (obj, table) in enumerate(zip(self.objectives, self.image_tables)):
-            seen: dict = {}
-            tcls = obj.target.iso_class_of
-            for r, img in enumerate(table):
-                sig = tuple(cls[v] for v in tuple_unrank(self.cat.size, self.n, r))
-                prev = seen.get(sig)
-                if prev is None:
-                    seen[sig] = (r, tcls[img])
-                elif tcls[img] != prev[1]:
-                    problems.append(LoadError(
-                        "valuation.iso_respect",
-                        f"valuations[{i}]",
-                        f"systems at ranks {prev[0]} and {r} are isomorphic but their "
-                        f"images land in different iso classes",
-                    ))
-                    break
+            classes = np.asarray(obj.target.iso_class_of)[table]
+            split = np.flatnonzero(classes != classes[reps])
+            if split.size:
+                r = split[0]
+                problems.append(LoadError(
+                    "valuation.iso_respect", f"valuations[{i}]",
+                    f"systems at ranks {reps[r]} and {r} are isomorphic but their "
+                    f"images land in different iso classes",
+                ))
         return problems
 
 
 def images_of(system: ValuationSystem, values: Sequence[int]) -> tuple:
     r = system.rank(values)
-    return tuple(table[r] for table in system.image_tables)
+    return tuple(int(table[r]) for table in system.image_tables)
 
 
 def admissible(system: ValuationSystem, values: Sequence[int]) -> bool:
@@ -226,46 +256,11 @@ def admissible(system: ValuationSystem, values: Sequence[int]) -> bool:
 
 
 def prime_admissibility(system: ValuationSystem, threads: int = 1) -> tuple:
-    """Compute (and cache on the system) the admissibility table, splitting
-    the rank scan across ``threads`` workers.
-
-    Chunks cover contiguous rank ranges and merge in rank order, so the
-    result is byte-identical for every thread count. Only the boolean
-    scan is split; the image tables are built once up front.
-    """
+    """Build (and cache on the system) the admissibility table. ``threads``
+    splits nothing: the table is one vectorised pass."""
     if threads < 1:
         raise PreconditionError("threads must be at least 1")
-    if "admissible_flags" in system.__dict__:
-        return system.admissible_flags
-    tables = system.image_tables
-    homs = [obj.target.hom for obj in system.objectives]
-    goals = [obj.goal for obj in system.objectives]
-    total = system.functor_count
-
-    def scan(lo: int, hi: int) -> list:
-        out = [True] * (hi - lo)
-        for hom, goal, table in zip(homs, goals, tables):
-            for r in range(lo, hi):
-                if out[r - lo] and not hom[table[r]][goal]:
-                    out[r - lo] = False
-        return out
-
-    if threads == 1 or total < 2 * threads:
-        flags = tuple(scan(0, total))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        step = -(-total // threads)
-        bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: scan(*b), bounds))
-        merged: list = []
-        for part in parts:
-            merged.extend(part)
-        flags = tuple(merged)
-    # plant into the cached_property slot so later reads reuse it
-    system.__dict__["admissible_flags"] = flags
-    return flags
+    return system.admissible_flags
 
 
 def minorizes(system: ValuationSystem, phi: Sequence[int], psi: Sequence[int],
@@ -273,15 +268,20 @@ def minorizes(system: ValuationSystem, phi: Sequence[int], psi: Sequence[int],
     """Does ``psi`` improve on ``phi``: an arrow image(phi) -> image(psi)
     in every objective; strictly when some objective's images are not
     isomorphic."""
-    rp, rq = system.rank(phi), system.rank(psi)
-    not_iso = False
-    for obj, table in zip(system.objectives, system.image_tables):
-        a, b = table[rp], table[rq]
-        if not obj.target.hom[a][b]:
-            return False
-        if not obj.target.isomorphic(a, b):
-            not_iso = True
-    return not_iso if strict else True
+    c = system.image_class_vectors
+    u, v = c.ids[system.rank(phi)], c.ids[system.rank(psi)]
+    return bool(c.arrows[u, v]) and not (strict and u == v)
+
+
+def _improving_ranks(system: ValuationSystem, phi: Sequence[int]) -> np.ndarray:
+    """Ascending ranks of the admissible systems strictly improving on
+    admissible ``phi``."""
+    rp = system.rank(phi)
+    if not system.admissible_mask[rp]:
+        raise PreconditionError(f"system {tuple(phi)} is not admissible")
+    c = system.image_class_vectors
+    u = c.ids[rp]
+    return np.flatnonzero(system.admissible_mask & c.arrows[u][c.ids] & (c.ids != u))
 
 
 def strict_minorization_set(system: ValuationSystem, phi: Sequence[int]) -> list:
@@ -291,31 +291,7 @@ def strict_minorization_set(system: ValuationSystem, phi: Sequence[int]) -> list
     is a precondition: the improvement relation used by the frontier is
     only read on admissible systems.
     """
-    rp = system.rank(phi)
-    if not system.admissible_flags[rp]:
-        raise PreconditionError(f"system {tuple(phi)} is not admissible")
-    k, n = system.cat.size, system.n
-    vecs = system.image_class_vectors
-    flags = system.admissible_flags
-    out = []
-    # hom at iso-class level is well defined: validated maps respect iso
-    u = vecs[rp]
-    homs = [obj.target.hom for obj in system.objectives]
-    imgs = [table[rp] for table in system.image_tables]
-    for rq in range(system.functor_count):
-        if not flags[rq]:
-            continue
-        v = vecs[rq]
-        if v == u:
-            continue
-        ok = True
-        for a_img, hom, table in zip(imgs, homs, system.image_tables):
-            if not hom[a_img][table[rq]]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple_unrank(k, n, rq))
-    return out
+    return list(map(tuple, system.digits(_improving_ranks(system, phi)).tolist()))
 
 
 def minorization_mass(system: ValuationSystem, dist: ObjectDistribution,
@@ -326,10 +302,7 @@ def minorization_mass(system: ValuationSystem, dist: ObjectDistribution,
     weights are strictly positive. Doubles by default; exact fractions
     on request.
     """
-    improving = strict_minorization_set(system, phi)
-    if exact:
-        return sum((dist.tuple_weight(t, exact=True) for t in improving), Fraction(0))
-    return float(sum(dist.tuple_weight(t) for t in improving))
+    return dist.mass(system.digits(_improving_ranks(system, phi)), exact=exact)
 
 
 @dataclass(frozen=True)
@@ -361,44 +334,32 @@ class FrontierResult:
         }
 
 
-def _group_members(system: ValuationSystem, ranks: list) -> tuple:
-    """Group systems by componentwise iso class; lexicographically least
-    member represents the group; groups sorted by representative."""
-    k, n = system.cat.size, system.n
-    cls = system.cat.iso_class_of
-    buckets: dict = {}
-    for r in sorted(ranks):
-        tup = tuple_unrank(k, n, r)
-        sig = tuple(cls[v] for v in tup)
-        buckets.setdefault(sig, []).append(tup)
-    groups = [FrontierGroup(members[0], tuple(members)) for members in buckets.values()]
-    groups.sort(key=lambda g: g.representative)
-    return tuple(groups)
+def _group_members(system: ValuationSystem, ranks: np.ndarray) -> tuple:
+    """Group systems (ascending ranks) by componentwise iso class;
+    lexicographically least member represents the group; groups sorted
+    by representative."""
+    _, leader, group = np.unique(system.iso_representatives[ranks],
+                                 return_index=True, return_inverse=True)
+    order = np.argsort(leader[group], kind="stable")
+    members = list(map(tuple, system.digits(ranks[order]).tolist()))
+    ends = np.cumsum(np.bincount(group)[np.argsort(leader)]).tolist()
+    return tuple(FrontierGroup(members[a], tuple(members[a:b]))
+                 for a, b in zip([0] + ends, ends))
 
 
-def _admissible_vector_index(system: ValuationSystem):
-    """Distinct image-class vectors of admissible systems -> member ranks."""
-    vecs = system.image_class_vectors
-    flags = system.admissible_flags
-    index: dict = {}
-    for r, ok in enumerate(flags):
-        if ok:
-            index.setdefault(vecs[r], []).append(r)
-    return index
-
-
-def _class_hom(system: ValuationSystem, index) -> dict:
-    """hom between image-class vectors, read off one representative each."""
-    reps = {vec: ranks[0] for vec, ranks in index.items()}
-    homs = [obj.target.hom for obj in system.objectives]
-    tables = system.image_tables
-    arrows = {}
-    for u, ru in reps.items():
-        for v, rv in reps.items():
-            arrows[(u, v)] = all(
-                hom[table[ru]][table[rv]] for hom, table in zip(homs, tables)
-            )
-    return arrows
+def _frontier(system: ValuationSystem, terminal) -> FrontierResult:
+    """The admissible systems whose image-class vector ``terminal`` keeps,
+    given the strict-arrow matrix between the admissible vectors."""
+    c = system.image_class_vectors
+    mask = system.admissible_mask
+    present = np.unique(c.ids[mask])
+    strict = c.arrows[np.ix_(present, present)] & ~np.eye(len(present), dtype=bool)
+    kept = np.isin(c.ids, present[terminal(strict)])
+    return FrontierResult(
+        groups=_group_members(system, np.flatnonzero(mask & kept)),
+        admissible_count=int(np.count_nonzero(mask)),
+        functor_count=system.functor_count,
+    )
 
 
 def pareto_frontier(system: ValuationSystem) -> FrontierResult:
@@ -408,43 +369,67 @@ def pareto_frontier(system: ValuationSystem) -> FrontierResult:
     classes of images), then expands back to member systems grouped by
     componentwise iso class.
     """
-    index = _admissible_vector_index(system)
-    arrows = _class_hom(system, index)
-    frontier_ranks: list = []
-    for u, ranks in index.items():
-        dominated = any(v != u and arrows[(u, v)] for v in index)
-        if not dominated:
-            frontier_ranks.extend(ranks)
-    admissible_count = sum(len(r) for r in index.values())
-    return FrontierResult(
-        groups=_group_members(system, frontier_ranks),
-        admissible_count=admissible_count,
-        functor_count=system.functor_count,
-    )
+    return _frontier(system, lambda strict: ~strict.any(axis=1))
 
 
 def frontier_via_chains(system: ValuationSystem) -> FrontierResult:
     """The frontier as terminal elements of the improvement digraph.
 
-    Builds the strict-arrow digraph on admissible image-class vectors and
-    keeps the vertices every one of whose outgoing arrows stays in its
-    own class (out-degree zero). Independent route; must agree with
-    :func:`pareto_frontier`.
+    Keeps the admissible image-class vectors of out-degree zero in the
+    strict-arrow digraph. It reads the same class table as
+    :func:`pareto_frontier`, so it checks the graph reading of the
+    frontier, not the table; ``tests/oracles.py`` is the independent
+    route.
     """
-    index = _admissible_vector_index(system)
-    arrows = _class_hom(system, index)
-    out_strict = {u: set() for u in index}
-    for (u, v), has in arrows.items():
-        if has and u != v:
-            out_strict[u].add(v)
-    terminal = [u for u, targets in out_strict.items() if not targets]
-    frontier_ranks = [r for u in terminal for r in index[u]]
-    admissible_count = sum(len(r) for r in index.values())
-    return FrontierResult(
-        groups=_group_members(system, frontier_ranks),
-        admissible_count=admissible_count,
-        functor_count=system.functor_count,
-    )
+    return _frontier(system, lambda strict: strict.sum(axis=1) == 0)
+
+
+class ImprovementChains:
+    """The longest-chain DP over a growing sequence of draws.
+
+    A chain is an increasing tuple of draw indices, each draw strictly
+    improving on the one before. ``preds[j]`` lists the earlier draws that
+    draw j strictly improves on, and ``least[j]`` is the lexicographically
+    least of the longest chains ending at draw j.
+    """
+
+    def __init__(self, system: ValuationSystem):
+        self.system = system
+        self.draws: list = []
+        self.ids: list = []     # class-vector id per draw
+        self.preds: list = []
+        self.least: list = []
+
+    def add(self, draw: Sequence[int]) -> list:
+        """Append ``draw``; returns its predecessors in index order."""
+        c = self.system.image_class_vectors
+        v = int(c.ids[self.system.rank(draw)])
+        ids = np.array(self.ids, dtype=np.intp)
+        preds = np.flatnonzero(c.arrows[ids, v] & (ids != v)).tolist()
+        self.least.append(self.best_chain(preds) + (len(self.ids),))
+        self.draws.append(draw)
+        self.ids.append(v)
+        self.preds.append(preds)
+        return preds
+
+    def best_chain(self, ends: Optional[Sequence[int]] = None) -> tuple:
+        """Lexicographically least of the longest chains ending at one of
+        ``ends`` (default: any draw); ``()`` when there is none."""
+        ends = range(len(self.least)) if ends is None else ends
+        return min((self.least[j] for j in ends), key=lambda c: (-len(c), c), default=())
+
+    def all_longest(self) -> list:
+        """Every longest chain, sorted."""
+        def ending_at(j: int) -> list:
+            length = len(self.least[j])
+            if length == 1:
+                return [(j,)]
+            return [c + (j,) for i in self.preds[j] if len(self.least[i]) == length - 1
+                    for c in ending_at(i)]
+
+        top = len(self.best_chain())
+        return sorted(c for j in range(len(self.least)) if len(self.least[j]) == top
+                      for c in ending_at(j))
 
 
 def longest_strict_chains(system: ValuationSystem, draws: Sequence[Sequence[int]]) -> list:
@@ -458,30 +443,7 @@ def longest_strict_chains(system: ValuationSystem, draws: Sequence[Sequence[int]
     for d in draws:
         if not admissible(system, d):
             raise PreconditionError(f"draw {d} is not admissible")
-    m = len(draws)
-    if m == 0:
-        return []
-    edge = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            edge[i][j] = minorizes(system, draws[i], draws[j], strict=True)
-    best = [1] * m
-    for j in range(m):
-        for i in range(j):
-            if edge[i][j] and best[i] + 1 > best[j]:
-                best[j] = best[i] + 1
-    top = max(best)
-    chains: list = []
-
-    def backtrack(j: int, suffix: list) -> None:
-        if best[j] == 1:
-            chains.append(tuple([j] + suffix))
-            return
-        for i in range(j):
-            if edge[i][j] and best[i] == best[j] - 1:
-                backtrack(i, [j] + suffix)
-
-    for j in range(m):
-        if best[j] == top:
-            backtrack(j, [])
-    return sorted(chains)
+    chains = ImprovementChains(system)
+    for d in draws:
+        chains.add(d)
+    return chains.all_longest()

@@ -266,4 +266,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command", CHAIN3])
     assert e.value.code == 2
+    for command in (["frontier", CHAIN3], ["lambda", CHAIN3, "1,1"],
+                    ["swarm", CHAIN3, "--particles", "2", "--draws", "2"]):
+        with pytest.raises(SystemExit) as e:
+            main(command + ["--threads", "0"])
+        assert e.value.code == 2
     capsys.readouterr()

@@ -99,6 +99,23 @@ def test_category_shape_errors():
     assert code_of(e) == "category.shape"
 
 
+@pytest.mark.parametrize("mutate, code", [
+    (lambda d: d["valuations"].__setitem__(0, 3), "valuation.shape"),
+    (lambda d: d.update(distribution=[0.5, 0.5]), "distribution.shape"),
+    (lambda d: d["category"].update(objects="abc"), "category.shape"),
+    (lambda d: d["category"].update(iso_classes=3), "category.shape"),
+    (lambda d: d["distribution"]["weights"].__setitem__(0, "abc"), "distribution.shape"),
+    (lambda d: d.update(system_size="x"), "parse.shape"),
+    (lambda d: d["valuations"][0].update(target=5), "category.shape"),
+    (lambda d: d["scale"]["valuations_scaled"][0].__setitem__(5, 7), "scale.shape"),
+], ids=["valuation", "distribution", "objects", "iso_classes", "weight",
+        "system_size", "target", "scale_row"])
+def test_malformed_fields_raise_load_error(mutate, code):
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(broken(fixture_doc("chain3"), mutate))
+    assert code_of(e) == code
+
+
 def test_valuation_shape_and_kind():
     doc = fixture_doc("chain3")
     with pytest.raises(pc.LoadError) as e:
@@ -173,6 +190,8 @@ def test_scale_transition_law():
     with pytest.raises(pc.LoadError) as e:
         pc.load_instance(doc)
     assert code_of(e) == "scale.transition"
+    assert e.value.path == "scale.valuations_scaled[0][5]"
+    assert e.value.detail == "missing transition arrow 0 -> 2 at scale 0"
 
 
 # ---------------------------------------------------------------- law phase

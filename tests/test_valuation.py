@@ -80,6 +80,35 @@ def test_minorization_mass_frozen_values(chain3, staircase):
     ) == STAIRCASE_MASS_22
 
 
+def _wide_denominator_chain3():
+    """chain3 with weights whose common denominator D has D^2 > 2^63."""
+    doc = fixture_doc("chain3")
+    ws = [Fraction(1, 2**20), Fraction(1, 3**13), Fraction(1, 2)]
+    ws.append(1 - sum(ws))
+    doc["distribution"]["weights"] = [f"{w.numerator}/{w.denominator}" for w in ws]
+    return doc, pc.load_instance(doc)
+
+
+def test_exact_mass_beyond_int64_matches_oracle():
+    doc, inst = _wide_denominator_chain3()
+    phis = [t for t in pc.enumerate_summing_functors(inst.cat, inst.n)
+            if pc.admissible(inst.system, t)]
+    assert len(phis) == 15
+    for phi in phis:
+        got = pc.minorization_mass(inst.system, inst.distribution, phi, exact=True)
+        assert got == oracles.brute_mass(doc, phi), phi
+
+
+def test_float_mass_keeps_rank_order_sum():
+    doc, inst = _wide_denominator_chain3()
+    d = inst.distribution
+    for phi in pc.enumerate_summing_functors(inst.cat, inst.n):
+        if not pc.admissible(inst.system, phi):
+            continue
+        want = sum(d.tuple_weight(u) for u in oracles.brute_strict_improvers(doc, phi))
+        assert pc.minorization_mass(inst.system, d, phi) == want, phi
+
+
 def test_mass_zero_iff_frontier(chain3):
     s, d = chain3.system, chain3.distribution
     for t in pc.enumerate_summing_functors(chain3.cat, 2):
@@ -188,6 +217,11 @@ def test_validate_maps_catches_iso_disrespect():
     inst = pc.build_instance(doc)
     problems = inst.system.validate_maps()
     assert any(p.code == "valuation.iso_respect" for p in problems)
+    assert [(p.path, p.detail) for p in problems] == [(
+        "valuations[0]",
+        "systems at ranks 1 and 3 are isomorphic but their images land in "
+        "different iso classes",
+    )]
 
 
 def test_capacity_guard():
