@@ -13,6 +13,7 @@ induced probabilistic objects and cocones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,9 +43,25 @@ def _check_probs(lambdas: Sequence) -> list:
 
 def diagonal_coefficients(lambdas: Sequence) -> tuple:
     """c_k^k for k = 0..n: the probability that the k-th draw becomes the
-    best position the moment it happens."""
+    best position the moment it happens.
+
+    Fractions are summed as integer numerators: with ``l_k = a_k / q``
+    over the common denominator q, ``c_n^n = N_n / q^n`` where
+    ``N_n = sum_k a_k (q - a_k)^(n-1-k) N_k``.
+    """
     ls = _check_probs(lambdas)
     diag = [1]
+    if ls and all(isinstance(l, Fraction) for l in ls):
+        q = math.lcm(*(l.denominator for l in ls))
+        a = [l.numerator * (q // l.denominator) for l in ls]
+        terms: list = []  # terms[k] = a_k (q - a_k)^(n-1-k) N_k at step n
+        numerator = 1     # N_n
+        for n in range(1, len(ls) + 1):
+            terms = [t * (q - a[k]) for k, t in enumerate(terms)]
+            terms.append(a[n - 1] * numerator)
+            numerator = sum(terms)
+            diag.append(Fraction(numerator, q ** n))
+        return tuple(diag)
     for n in range(1, len(ls) + 1):
         acc = 0
         for k in range(n):
@@ -240,7 +257,9 @@ def sample_admissible(system: ValuationSystem, dist: ObjectDistribution,
                       _counter: Optional[list] = None) -> tuple:
     """One draw from the product measure conditioned on admissibility,
     by rejection. Raises :class:`SamplingError` with the measured
-    acceptance rate when the attempt budget runs out."""
+    acceptance rate when the attempt budget runs out: accepted over
+    attempted draws as tallied in ``_counter`` (the failed call's
+    attempts included), else 0.0 for this call alone."""
     k, n = system.cat.size, system.n
     w = dist.as_floats
     for attempt in range(1, budget + 1):
@@ -251,9 +270,10 @@ def sample_admissible(system: ValuationSystem, dist: ObjectDistribution,
             if _counter is not None:
                 _counter[1] += 1
             return tup
+    attempts, accepted = _counter if _counter is not None else (budget, 0)
     raise SamplingError(
         f"no admissible draw within {budget} attempts",
-        acceptance_rate=0.0,
+        acceptance_rate=accepted / attempts if attempts else 0.0,
     )
 
 

@@ -22,11 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, StructureError
 from .instance import Instance
 from .particle import sample_admissible
-from .scale import interleaving_distance
-from .valuation import ImprovementChains, admissible, minorizes, pareto_frontier
+from .valuation import (FrontierResult, ImprovementChains, ValuationSystem, admissible,
+                        minorizes, pareto_frontier)
 
 
 @dataclass(frozen=True)
@@ -89,22 +89,68 @@ class SwarmReport:
         }
 
 
-def _reversible_improvement(inst: Instance, src: tuple, dst: tuple, eps: int) -> bool:
-    """All objectives: the scaled conversion src -> dst exists at every
-    scale and can be reversed after ``eps`` coarsening steps.
+class _ScaleTables:
+    """The instance's scale tables read by rank, for one shift ``eps``.
 
-    A missing scaled conversion counts as not reversible rather than an
-    error: the flag test is advisory and simply fails."""
-    for alpha in range(len(inst.objectives)):
-        y = inst.scaled_image(alpha, src)
-        z = inst.scaled_image(alpha, dst)
-        hom = y.base.hom
-        for s in range(y.grid_len):
-            if not hom[y.values[s]][z.values[s]]:
-                return False
-            if not hom[z.values[s]][y.value_at(s + eps)]:
-                return False
-    return True
+    Per objective, the ``(systems, grid_len)`` int table and its target's
+    hom matrix. Every row is checked once, as :class:`ScaleObject` checks
+    one, so a hand-built instance fails with the same
+    :class:`StructureError`. Reversibility is memoised per rank pair.
+    """
+
+    def __init__(self, inst: Instance, eps: int):
+        self.objectives = []
+        for table, obj in zip(inst.scale.tables, inst.objectives):
+            t = np.asarray(table, dtype=np.int64)
+            hom = np.asarray(obj.target.hom, dtype=bool)
+            if t.ndim != 2 or t.shape[1] < 1:
+                raise StructureError("a scale object needs at least one grid point")
+            if ((t < 0) | (t >= obj.target.size)).any():
+                raise StructureError(
+                    f"scale values out of range for a {obj.target.size}-object category")
+            broken = np.argwhere(~hom[t[:, :-1], t[:, 1:]])
+            if len(broken):
+                r, s = broken[0]
+                raise StructureError(
+                    f"missing transition arrow {t[r, s]} -> {t[r, s + 1]} at scale {s}")
+            top = t.shape[1] - 1
+            # row e, for e = 0..min(eps, top): grid point s advanced by e
+            # steps, the last value repeating; the last row is the eps shift
+            shifts = np.minimum(np.arange(top + 1) + np.arange(min(eps, top) + 1)[:, None], top)
+            self.objectives.append((t, hom, shifts))
+        self.memo: dict = {}
+
+    def reversible(self, src: int, dst: int) -> bool:
+        """All objectives: the scaled conversion src -> dst exists at every
+        scale and can be reversed after ``eps`` coarsening steps.
+
+        A missing scaled conversion counts as not reversible rather than
+        an error: the flag test is advisory and simply fails."""
+        key = (src, dst)
+        if key not in self.memo:
+            self.memo[key] = all(
+                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
+                for t, hom, shifts in self.objectives
+            )
+        return self.memo[key]
+
+    def near(self, rank: int, members: np.ndarray) -> np.ndarray:
+        """Per member rank: within interleaving distance ``eps`` of
+        ``rank`` in every objective, i.e. ``e``-interleaved for some
+        ``e`` in ``0..min(eps, grid_len - 1)``."""
+        out = np.ones(len(members), dtype=bool)
+        for t, hom, shifts in self.objectives:
+            y, z = t[rank], t[members]
+            mutual = hom[y, z[:, shifts]] & hom[z[:, None, :], y[shifts]]
+            out &= mutual.all(axis=2).any(axis=1)
+        return out
+
+
+def _member_ranks(system: ValuationSystem, frontier: FrontierResult) -> np.ndarray:
+    """Ranks of the frontier's members, in group order."""
+    members = [m for g in frontier.groups for m in g.members]
+    digits = np.array(members, dtype=np.int64).reshape(len(members), system.n)
+    return digits @ system.cat.size ** np.arange(system.n - 1, -1, -1, dtype=np.int64)
 
 
 def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
@@ -119,6 +165,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     streams = np.random.SeedSequence(config.seed).spawn(n_particles)
     gens = [np.random.default_rng(s) for s in streams]
     counters = [[0, 0] for _ in range(n_particles)]
+    tables = _ScaleTables(inst, config.epsilon)
 
     chains = [ImprovementChains(system) for _ in range(n_particles)]
     positions = [c.draws for c in chains]
@@ -146,10 +193,8 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
 
         flagged_this_round = set()
         for i in range(n_particles):
-            hits = [
-                a for a in preds[i]
-                if _reversible_improvement(inst, positions[i][a], positions[i][k], config.epsilon)
-            ]
+            ranks = chains[i].ranks
+            hits = [a for a in preds[i] if tables.reversible(ranks[a], ranks[k])]
             if hits:
                 chain = chains[i].best_chain(hits) + (k,)
                 add_flag(i, k, positions[i][k], tuple((i, idx) for idx in chain))
@@ -167,20 +212,22 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
                 cand = positions[j][k]
                 if minorizes(system, tip_draw, cand, strict=True):
                     cross_links.append((i, tip, j, k))
-                    if _reversible_improvement(inst, tip_draw, cand, config.epsilon):
+                    if tables.reversible(chains[i].ranks[tip], chains[j].ranks[k]):
                         witness = tuple((i, idx) for idx in chain) + ((j, k),)
                         add_flag(j, k, cand, witness)
 
     final_chains = tuple(tuple(c.all_longest()) for c in chains)
     frontier = pareto_frontier(system)
-    certified = [
-        certify_neighborhood(inst, f.functor, config.epsilon, _frontier=frontier)
-        for f in flags
-    ]
-    represented = sum(
-        any(_near(inst, f.functor, group.members, config.epsilon) for f in flags)
-        for group in frontier.groups
-    )
+    members = _member_ranks(system, frontier)
+    flag_ranks = [chains[f.particle].ranks[f.draw_index] for f in flags]
+    near = {r: tables.near(r, members) for r in dict.fromkeys(flag_ranks)}
+    certified = [bool(near[r].any()) for r in flag_ranks]
+    reached = np.zeros(len(members), dtype=bool)
+    for hit in near.values():
+        reached |= hit
+    group_of = np.repeat(np.arange(len(frontier.groups)),
+                         [len(g.members) for g in frontier.groups])
+    represented = len(np.unique(group_of[reached]))
 
     lengths = [max((len(c) for c in per), default=1) for per in final_chains]
     hist: dict = {}
@@ -220,15 +267,6 @@ def certify_neighborhood(inst: Instance, values: Sequence[int], eps: int,
     if not admissible(inst.system, values):
         raise PreconditionError(f"system {values} is not admissible")
     frontier = _frontier if _frontier is not None else pareto_frontier(inst.system)
-    return _near(inst, values, (m for g in frontier.groups for m in g.members), eps)
-
-
-def _near(inst: Instance, values: tuple, members, eps: int) -> bool:
-    """Is one of ``members`` within interleaving distance ``eps`` of
-    ``values`` in every objective?"""
-    alphas = range(len(inst.objectives))
-    mine = [inst.scaled_image(a, values) for a in alphas]
-    return any(
-        all(interleaving_distance(mine[a], inst.scaled_image(a, m)) <= eps for a in alphas)
-        for m in members
-    )
+    near = _ScaleTables(inst, eps).near(inst.system.rank(values),
+                                        _member_ranks(inst.system, frontier))
+    return bool(near.any())

@@ -390,24 +390,32 @@ class ImprovementChains:
     A chain is an increasing tuple of draw indices, each draw strictly
     improving on the one before. ``preds[j]`` lists the earlier draws that
     draw j strictly improves on, and ``least[j]`` is the lexicographically
-    least of the longest chains ending at draw j.
+    least of the longest chains ending at draw j; ``best`` is the least
+    of all of them.
     """
 
     def __init__(self, system: ValuationSystem):
         self.system = system
         self.draws: list = []
+        self.ranks: list = []   # rank per draw
         self.ids: list = []     # class-vector id per draw
         self.preds: list = []
         self.least: list = []
+        self.best: tuple = ()
 
     def add(self, draw: Sequence[int]) -> list:
         """Append ``draw``; returns its predecessors in index order."""
         c = self.system.image_class_vectors
-        v = int(c.ids[self.system.rank(draw)])
+        rank = self.system.rank(draw)
+        v = int(c.ids[rank])
         ids = np.array(self.ids, dtype=np.intp)
         preds = np.flatnonzero(c.arrows[ids, v] & (ids != v)).tolist()
-        self.least.append(self.best_chain(preds) + (len(self.ids),))
+        least = self.best_chain(preds) + (len(self.ids),)
+        if (-len(least), least) < (-len(self.best), self.best):
+            self.best = least
+        self.least.append(least)
         self.draws.append(draw)
+        self.ranks.append(rank)
         self.ids.append(v)
         self.preds.append(preds)
         return preds
@@ -415,7 +423,8 @@ class ImprovementChains:
     def best_chain(self, ends: Optional[Sequence[int]] = None) -> tuple:
         """Lexicographically least of the longest chains ending at one of
         ``ends`` (default: any draw); ``()`` when there is none."""
-        ends = range(len(self.least)) if ends is None else ends
+        if ends is None:
+            return self.best
         return min((self.least[j] for j in ends), key=lambda c: (-len(c), c), default=())
 
     def all_longest(self) -> list:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
@@ -58,7 +58,12 @@ def test_normalization_float(ls):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.fractions(0, 1), min_size=1, max_size=10))
+@given(st.one_of(
+    st.lists(st.fractions(0, 1), min_size=1, max_size=10),
+    st.lists(st.fractions(0, 1, max_denominator=1000), min_size=11, max_size=40),
+))
+@example([Fraction(1, d) for d in (2, 3, 7, 10, 64, 2**20, 3**13, 1)] * 5)
+@example([Fraction(0)] * 20 + [Fraction(999, 1000), Fraction(1)] * 10)
 def test_normalization_exact(ls):
     c = pc.evolve_coefficients(ls)
     assert all(isinstance(x, Fraction) for x in c)
@@ -203,6 +208,30 @@ def test_run_particle_rough_bound_recorded_not_asserted(chain3):
             break
     else:
         pytest.skip("no frontier-start seed found in range")
+
+
+def test_sampling_error_reports_measured_rate():
+    """Early draws succeed, then one call runs out of budget: the error
+    carries accepted / attempted over the whole run, failed call included."""
+    # object 1 alone reaches the goal: half of the draws are admissible
+    cat = pc.ResourceCategory(2, [[1, 0], [1, 1]], [[0], [1]], 0, [[0, 1], [1, 1]])
+    target = pc.TargetCategory(2, [[1, 0], [0, 1]], [[0], [1]])
+    obj = pc.Objective(target=target, goal=1, kind="composed", h=(0, 1))
+    system = pc.ValuationSystem(cat=cat, n=1, objectives=(obj,), cap=100)
+    dist = pc.ObjectDistribution([0.5, 0.5])
+    gen = np.random.default_rng(0)
+    counter = [0, 0]
+    with pytest.raises(pc.SamplingError) as err:
+        for _ in range(200):
+            pc.sample_admissible(system, dist, gen, budget=2, _counter=counter)
+    assert counter[1] > 0
+    assert err.value.acceptance_rate == counter[1] / counter[0]
+    with pytest.raises(pc.SamplingError) as err:
+        pc.run_particle(system, dist, 200, seed=0, budget=2)
+    assert 0 < err.value.acceptance_rate < 1
+    with pytest.raises(pc.SamplingError) as err:
+        pc.sample_admissible(system, dist, np.random.default_rng(3), budget=0)
+    assert err.value.acceptance_rate == 0.0
 
 
 def test_sampling_error_when_nothing_admissible():

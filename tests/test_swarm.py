@@ -1,8 +1,14 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pareto_cat as pc
+from pareto_cat.swarm import _ScaleTables
 
-from conftest import fixture_doc
+from conftest import fixture_doc, valuation_systems
 
 
 def small(seed, particles=4, draws=8, epsilon=1):
@@ -147,3 +153,64 @@ def test_sampling_error_propagates():
     cfg = pc.SwarmConfig(particles=2, draws=3, epsilon=1, seed=0, budget=8)
     with pytest.raises(pc.SamplingError):
         pc.run_swarm(inst, cfg)
+
+
+@st.composite
+def scaled_instances(draw):
+    """A random level-category system with a legal scale table per
+    objective: each row is a downward walk along the target preorder."""
+    system = draw(valuation_systems(max_size=3, max_n=2))
+    grid_len = draw(st.integers(1, 4))
+    tables = []
+    for obj in system.objectives:
+        hom = obj.target.hom
+        rows = []
+        for _ in range(system.functor_count):
+            row = [draw(st.integers(0, obj.target.size - 1))]
+            while len(row) < grid_len:
+                nxt = [b for b in range(obj.target.size) if hom[row[-1]][b]]
+                row.append(nxt[draw(st.integers(0, len(nxt) - 1))])
+            rows.append(row)
+        tables.append(np.array(rows, dtype=np.int64))
+    k = system.cat.size
+    return pc.Instance(cat=system.cat, n=system.n, objectives=system.objectives,
+                       distribution=pc.ObjectDistribution([f"1/{k}"] * k),
+                       scale=pc.ScaleData(grid_len=grid_len, tables=tuple(tables)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_instances(), st.integers(0, 5), st.data())
+def test_scale_tables_match_scale_objects(inst, eps, data):
+    """Table reversibility and nearness read what the ScaleObject route reads."""
+    ranks = np.arange(inst.system.functor_count)
+    systems = [tuple(row) for row in inst.system.digits(ranks).tolist()]
+    x = data.draw(st.sampled_from(ranks.tolist()))
+    tables = _ScaleTables(inst, eps)
+    alphas = range(len(inst.objectives))
+
+    def reversible(y, z):
+        return all(y.base.hom[y.values[s]][z.values[s]] and pc.epsilon_reversible(y, z, s, eps)
+                   for s in range(y.grid_len))
+
+    def images(m):
+        return [(inst.scaled_image(a, systems[x]), inst.scaled_image(a, systems[m]))
+                for a in alphas]
+
+    near = tables.near(x, ranks)
+    for m in ranks:
+        assert tables.reversible(x, m) == all(reversible(y, z) for y, z in images(m))
+        assert near[m] == all(pc.interleaving_distance(y, z) <= eps for y, z in images(m))
+
+
+@pytest.mark.parametrize("row", [[-1, 0, 0], [4, 0, 0], [3, 0, 1]],
+                         ids=["negative", "out-of-range", "no-transition"])
+def test_swarm_rejects_invalid_scale_row(staircase, row):
+    """A hand-built instance (no loader) fails on a row ScaleObject rejects."""
+    tables = [t.copy() for t in staircase.scale.tables]
+    frontier_rank = staircase.system.rank((0, 1))
+    tables[0][frontier_rank, : len(row)] = row
+    inst = replace(staircase, scale=replace(staircase.scale, tables=tuple(tables)))
+    with pytest.raises(pc.StructureError):
+        pc.run_swarm(inst, small(1))
+    with pytest.raises(pc.StructureError):
+        pc.certify_neighborhood(inst, (0, 1), 1)
