@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import LoadError, StructureError
 from .rescat import ResourceCategory, TargetCategory, _check_shape, close_hom, validate_category
-from .scale import ScaleObject
-from .summing import DEFAULT_CAP, count_functors
+from .scale import ScaleObject, first_bad_row
+from .summing import DEFAULT_CAP, count_within
 from .valuation import Objective, ObjectDistribution, ValuationSystem
 
 
@@ -113,14 +113,16 @@ def _build_category(doc, path: str, use_closure: bool, resource: bool = False):
     return cat
 
 
-def _grid_table(table, total: int, grid_len: int, size: int, path: str) -> np.ndarray:
+def _grid_table(table, k: int, n: int, grid_len: int, size: int, path: str) -> np.ndarray:
     """One objective's scale table as a (systems, grid_len) int array.
 
-    Rows are checked in rank order: the first row with the wrong shape or
-    a value out of ``0..size-1`` is the one reported.
+    The table needs K^n rows. Rows are checked in rank order: the first
+    row with the wrong shape or a value out of ``0..size-1`` is the one
+    reported.
     """
-    if not isinstance(table, list) or len(table) != total:
-        raise LoadError("scale.shape", path, f"need {total} rows (one per system)")
+    if not isinstance(table, list) or len(table) != count_within(k, n, len(table)):
+        raise LoadError("scale.shape", path, f"need {k}^{n} rows (one per system)")
+    total = len(table)
 
     def grid(rows) -> Optional[np.ndarray]:
         try:
@@ -195,12 +197,11 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
         if grid_len < 1:
             raise LoadError("scale.shape", "scale.grid_len", "grid_len must be >= 1")
         tables = sdoc.get("valuations_scaled")
-        total = count_functors(cat.size, n)
         if not isinstance(tables, list) or len(tables) != len(objectives):
             raise LoadError("scale.shape", "scale.valuations_scaled",
                             f"need one table per objective ({len(objectives)})")
         frozen = [
-            _grid_table(table, total, grid_len, objectives[a].target.size,
+            _grid_table(table, cat.size, n, grid_len, objectives[a].target.size,
                         f"scale.valuations_scaled[{a}]")
             for a, table in enumerate(tables)
         ]
@@ -235,20 +236,15 @@ def validate_instance(inst: Instance) -> list:
     except LoadError as e:
         problems.append(e)
     if not problems:
-        if count_functors(inst.cat.size, inst.n) <= inst.cap:
+        if count_within(inst.cat.size, inst.n, inst.cap) <= inst.cap:
             problems.extend(inst.system.validate_maps())
         if inst.scale is not None:
-            # each grid value must convert into the next one
-            for a, table in enumerate(inst.scale.tables):
-                hom = np.asarray(inst.objectives[a].target.hom)
-                broken = np.argwhere(~hom[table[:, :-1], table[:, 1:]])
-                if len(broken):
-                    r, s = broken[0]
-                    problems.append(LoadError(
-                        "scale.transition", f"scale.valuations_scaled[{a}][{r}]",
-                        f"missing transition arrow {table[r, s]} -> {table[r, s + 1]} "
-                        f"at scale {s}",
-                    ))
+            for a, (table, obj) in enumerate(zip(inst.scale.tables, inst.objectives)):
+                bad = first_bad_row(table, obj.target.hom)
+                if bad:
+                    kind, row, message = bad
+                    problems.append(LoadError(f"scale.{kind}",
+                                              f"scale.valuations_scaled[{a}][{row}]", message))
     return problems
 
 

@@ -12,12 +12,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import PreconditionError, StructureError
 from .rescat import TargetCategory
 
 INF = math.inf
+
+
+def first_bad_row(table, hom) -> Optional[tuple]:
+    """The scale-row rule on every row of a ``(rows, grid_len)`` table:
+    at least one grid point, every value an object of ``hom``'s category,
+    and an arrow from each value to the next. Returns ``(kind, row,
+    message)`` for the first row out of range, else the first row without
+    a transition arrow, else None."""
+    t, hom = np.asarray(table), np.asarray(hom, dtype=bool)
+    if t.ndim != 2 or t.shape[1] < 1:
+        return "shape", 0, "a scale object needs at least one grid point"
+    if t.size and not 0 <= t.min() <= t.max() < len(hom):
+        row = ((t < 0) | (t >= len(hom))).any(axis=1).argmax()
+        return "range", int(row), f"scale values out of range for a {len(hom)}-object category"
+    broken = np.argwhere(~hom[t[:, :-1], t[:, 1:]])
+    if len(broken):
+        r, s = broken[0]
+        return ("transition", int(r),
+                f"missing transition arrow {t[r, s]} -> {t[r, s + 1]} at scale {s}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -27,15 +49,9 @@ class ScaleObject:
 
     def __init__(self, base: TargetCategory, values: Sequence[int]):
         vals = tuple(int(v) for v in values)
-        if not vals:
-            raise StructureError("a scale object needs at least one grid point")
-        if any(not 0 <= v < base.size for v in vals):
-            raise StructureError(f"scale values out of range for a {base.size}-object category")
-        for s in range(len(vals) - 1):
-            if not base.hom[vals[s]][vals[s + 1]]:
-                raise StructureError(
-                    f"missing transition arrow {vals[s]} -> {vals[s + 1]} at scale {s}"
-                )
+        bad = first_bad_row([vals], base.hom)
+        if bad:
+            raise StructureError(bad[2])
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "values", vals)
 

@@ -10,7 +10,8 @@ enumerated lexicographically.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+import math
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapacityError, PreconditionError, StructureError
 from .rescat import ResourceCategory
@@ -41,6 +42,27 @@ def count_functors(k: int, n: int) -> int:
     return k**n
 
 
+def count_within(k: int, n: int, limit: int) -> Union[int, float]:
+    """K^n, or infinity where K^n is known to exceed ``limit`` without
+    computing it: with K >= 2, more than ``limit.bit_length()`` slots
+    give K^n > limit. A huge system size therefore costs no big-int
+    arithmetic."""
+    if k > 1 and n > limit.bit_length():
+        return math.inf
+    return k**n
+
+
+def check_capacity(k: int, n: int, cap: int) -> None:
+    """Raise :class:`CapacityError` when the K^n systems exceed ``cap``.
+
+    The message names K^n as a power, never its digits; ``required`` is
+    K^n, or infinity as in :func:`count_within`.
+    """
+    required = count_within(k, n, cap)
+    if required > cap:
+        raise CapacityError(f"{k}^{n} systems exceeds cap {cap}", required=required, cap=cap)
+
+
 def enumerate_summing_functors(
     cat: ResourceCategory, n: int, cap: int = DEFAULT_CAP
 ) -> Iterator[tuple]:
@@ -50,13 +72,7 @@ def enumerate_summing_functors(
     """
     if n < 0:
         raise PreconditionError(f"system size must be >= 0, got {n}")
-    total = count_functors(cat.size, n)
-    if total > cap:
-        raise CapacityError(
-            f"enumeration of {cat.size}^{n} = {total} systems exceeds cap {cap}",
-            required=total,
-            cap=cap,
-        )
+    check_capacity(cat.size, n, cap)
     return itertools.product(range(cat.size), repeat=n)
 
 

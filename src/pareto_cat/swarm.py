@@ -25,8 +25,8 @@ import numpy as np
 from .errors import PreconditionError, StructureError
 from .instance import Instance
 from .particle import sample_admissible
-from .valuation import (FrontierResult, ImprovementChains, ValuationSystem, admissible,
-                        minorizes, pareto_frontier)
+from .scale import first_bad_row
+from .valuation import ImprovementChains, admissible, frontier_ranks
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,11 @@ class _ScaleTables:
     def __init__(self, inst: Instance, eps: int):
         self.objectives = []
         for table, obj in zip(inst.scale.tables, inst.objectives):
+            bad = first_bad_row(table, obj.target.hom)
+            if bad:
+                raise StructureError(bad[2])
             t = np.asarray(table, dtype=np.int64)
             hom = np.asarray(obj.target.hom, dtype=bool)
-            if t.ndim != 2 or t.shape[1] < 1:
-                raise StructureError("a scale object needs at least one grid point")
-            if ((t < 0) | (t >= obj.target.size)).any():
-                raise StructureError(
-                    f"scale values out of range for a {obj.target.size}-object category")
-            broken = np.argwhere(~hom[t[:, :-1], t[:, 1:]])
-            if len(broken):
-                r, s = broken[0]
-                raise StructureError(
-                    f"missing transition arrow {t[r, s]} -> {t[r, s + 1]} at scale {s}")
             top = t.shape[1] - 1
             # row e, for e = 0..min(eps, top): grid point s advanced by e
             # steps, the last value repeating; the last row is the eps shift
@@ -146,13 +139,6 @@ class _ScaleTables:
         return out
 
 
-def _member_ranks(system: ValuationSystem, frontier: FrontierResult) -> np.ndarray:
-    """Ranks of the frontier's members, in group order."""
-    members = [m for g in frontier.groups for m in g.members]
-    digits = np.array(members, dtype=np.int64).reshape(len(members), system.n)
-    return digits @ system.cat.size ** np.arange(system.n - 1, -1, -1, dtype=np.int64)
-
-
 def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     """Deterministic for a fixed seed: per-particle RNG substreams are
     spawned up front and every search loop runs in fixed index order."""
@@ -167,6 +153,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     counters = [[0, 0] for _ in range(n_particles)]
     tables = _ScaleTables(inst, config.epsilon)
 
+    strict = system.image_class_vectors.strict
     chains = [ImprovementChains(system) for _ in range(n_particles)]
     positions = [c.draws for c in chains]
 
@@ -205,29 +192,25 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
                 continue
             chain = chains[i].best_chain()
             tip = chain[-1]
-            tip_draw = positions[i][tip]
+            tip_id = chains[i].ids[tip]
             for j in range(n_particles):
-                if j == i:
-                    continue
-                cand = positions[j][k]
-                if minorizes(system, tip_draw, cand, strict=True):
+                if j != i and strict[tip_id, chains[j].ids[k]]:
                     cross_links.append((i, tip, j, k))
                     if tables.reversible(chains[i].ranks[tip], chains[j].ranks[k]):
                         witness = tuple((i, idx) for idx in chain) + ((j, k),)
-                        add_flag(j, k, cand, witness)
+                        add_flag(j, k, positions[j][k], witness)
 
     final_chains = tuple(tuple(c.all_longest()) for c in chains)
-    frontier = pareto_frontier(system)
-    members = _member_ranks(system, frontier)
+    members = frontier_ranks(system)
+    groups = system.iso_representatives[members]
     flag_ranks = [chains[f.particle].ranks[f.draw_index] for f in flags]
     near = {r: tables.near(r, members) for r in dict.fromkeys(flag_ranks)}
     certified = [bool(near[r].any()) for r in flag_ranks]
     reached = np.zeros(len(members), dtype=bool)
     for hit in near.values():
         reached |= hit
-    group_of = np.repeat(np.arange(len(frontier.groups)),
-                         [len(g.members) for g in frontier.groups])
-    represented = len(np.unique(group_of[reached]))
+    group_count = len(np.unique(groups))
+    represented = len(np.unique(groups[reached]))
 
     lengths = [max((len(c) for c in per), default=1) for per in final_chains]
     hist: dict = {}
@@ -243,9 +226,9 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
         "chain_length_histogram": hist,
         "flag_count": len(flags),
         "cross_link_count": len(cross_links),
-        "frontier_group_count": len(frontier.groups),
+        "frontier_group_count": group_count,
         "precision": (sum(certified) / len(certified)) if certified else None,
-        "recall": (represented / len(frontier.groups)) if frontier.groups else None,
+        "recall": (represented / group_count) if group_count else None,
     }
     return SwarmReport(
         config=config,
@@ -257,8 +240,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     )
 
 
-def certify_neighborhood(inst: Instance, values: Sequence[int], eps: int,
-                         _frontier=None) -> bool:
+def certify_neighborhood(inst: Instance, values: Sequence[int], eps: int) -> bool:
     """Exact oracle: is some frontier member within interleaving distance
     ``eps`` of ``values`` in every objective?"""
     if inst.scale is None:
@@ -266,7 +248,5 @@ def certify_neighborhood(inst: Instance, values: Sequence[int], eps: int,
     values = tuple(values)
     if not admissible(inst.system, values):
         raise PreconditionError(f"system {values} is not admissible")
-    frontier = _frontier if _frontier is not None else pareto_frontier(inst.system)
-    near = _ScaleTables(inst, eps).near(inst.system.rank(values),
-                                        _member_ranks(inst.system, frontier))
+    near = _ScaleTables(inst, eps).near(inst.system.rank(values), frontier_ranks(inst.system))
     return bool(near.any())

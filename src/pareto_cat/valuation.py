@@ -24,9 +24,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, LoadError, PreconditionError
+from .errors import LoadError, PreconditionError
 from .rescat import ResourceCategory, TargetCategory
-from .summing import DEFAULT_CAP, count_functors, tuple_rank
+from .summing import DEFAULT_CAP, check_capacity, count_functors, tuple_rank
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,12 @@ class ClassVectors(NamedTuple):
     """A system's image-class vector is the tuple of target iso classes of
     its images. ``ids[rank]`` numbers the distinct vectors 0..V-1, and
     ``arrows[u, v]`` holds when every objective has an arrow from vector
-    u's images to vector v's: improvement only reads iso classes."""
+    u's images to vector v's: improvement only reads iso classes.
+    ``strict`` is ``arrows`` off the diagonal: strict improvement."""
 
     ids: np.ndarray
     arrows: np.ndarray
+    strict: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,7 @@ class ValuationSystem:
         return count_functors(self.cat.size, self.n)
 
     def _guard(self) -> None:
-        total = self.functor_count
-        if total > self.cap:
-            raise CapacityError(
-                f"{self.cat.size}^{self.n} = {total} systems exceeds cap {self.cap}",
-                required=total,
-                cap=self.cap,
-            )
+        check_capacity(self.cat.size, self.n, self.cap)
 
     def _fold(self, init: int, step) -> np.ndarray:
         """Per rank, the left fold ``acc = step(acc, digit)`` over the
@@ -160,6 +156,7 @@ class ValuationSystem:
     @cached_property
     def admissible_mask(self) -> np.ndarray:
         """Per rank, whether every objective's image converts into its goal."""
+        self._guard()
         mask = np.ones(self.functor_count, dtype=bool)
         for obj, table in zip(self.objectives, self.image_tables):
             mask &= np.asarray(obj.target.hom)[table, obj.goal]
@@ -173,6 +170,7 @@ class ValuationSystem:
     def image_class_vectors(self) -> ClassVectors:
         """Class-vector ids of every rank, and the arrows between vectors,
         read off the images of the first rank with each vector."""
+        self._guard()
         code = np.zeros(self.functor_count, dtype=np.int64)
         for obj, table in zip(self.objectives, self.image_tables):
             code = code * len(obj.target.iso_classes) + np.asarray(obj.target.iso_class_of)[table]
@@ -181,7 +179,7 @@ class ValuationSystem:
         for obj, table in zip(self.objectives, self.image_tables):
             images = table[first]
             arrows &= np.asarray(obj.target.hom)[np.ix_(images, images)]
-        return ClassVectors(ids, arrows)
+        return ClassVectors(ids, arrows, arrows & ~np.eye(len(first), dtype=bool))
 
     @cached_property
     def iso_representatives(self) -> np.ndarray:
@@ -270,7 +268,7 @@ def minorizes(system: ValuationSystem, phi: Sequence[int], psi: Sequence[int],
     isomorphic."""
     c = system.image_class_vectors
     u, v = c.ids[system.rank(phi)], c.ids[system.rank(psi)]
-    return bool(c.arrows[u, v]) and not (strict and u == v)
+    return bool((c.strict if strict else c.arrows)[u, v])
 
 
 def _improving_ranks(system: ValuationSystem, phi: Sequence[int]) -> np.ndarray:
@@ -280,8 +278,7 @@ def _improving_ranks(system: ValuationSystem, phi: Sequence[int]) -> np.ndarray:
     if not system.admissible_mask[rp]:
         raise PreconditionError(f"system {tuple(phi)} is not admissible")
     c = system.image_class_vectors
-    u = c.ids[rp]
-    return np.flatnonzero(system.admissible_mask & c.arrows[u][c.ids] & (c.ids != u))
+    return np.flatnonzero(system.admissible_mask & c.strict[c.ids[rp]][c.ids])
 
 
 def strict_minorization_set(system: ValuationSystem, phi: Sequence[int]) -> list:
@@ -334,30 +331,36 @@ class FrontierResult:
         }
 
 
-def _group_members(system: ValuationSystem, ranks: np.ndarray) -> tuple:
-    """Group systems (ascending ranks) by componentwise iso class;
-    lexicographically least member represents the group; groups sorted
-    by representative."""
+def _kept_ranks(system: ValuationSystem, terminal) -> np.ndarray:
+    """Ascending ranks of the admissible systems whose image-class vector
+    ``terminal`` keeps, given the strict-arrow matrix between the
+    admissible vectors."""
+    c = system.image_class_vectors
+    mask = system.admissible_mask
+    present = np.unique(c.ids[mask])
+    kept = np.isin(c.ids, present[terminal(c.strict[np.ix_(present, present)])])
+    return np.flatnonzero(mask & kept)
+
+
+def frontier_ranks(system: ValuationSystem) -> np.ndarray:
+    """Ascending ranks of the admissible systems with an empty strict
+    improvement set."""
+    return _kept_ranks(system, lambda strict: ~strict.any(axis=1))
+
+
+def _frontier(system: ValuationSystem, ranks: np.ndarray) -> FrontierResult:
+    """The systems at ``ranks`` (ascending) grouped by componentwise iso
+    class; lexicographically least member represents the group; groups
+    sorted by representative."""
     _, leader, group = np.unique(system.iso_representatives[ranks],
                                  return_index=True, return_inverse=True)
     order = np.argsort(leader[group], kind="stable")
     members = list(map(tuple, system.digits(ranks[order]).tolist()))
     ends = np.cumsum(np.bincount(group)[np.argsort(leader)]).tolist()
-    return tuple(FrontierGroup(members[a], tuple(members[a:b]))
-                 for a, b in zip([0] + ends, ends))
-
-
-def _frontier(system: ValuationSystem, terminal) -> FrontierResult:
-    """The admissible systems whose image-class vector ``terminal`` keeps,
-    given the strict-arrow matrix between the admissible vectors."""
-    c = system.image_class_vectors
-    mask = system.admissible_mask
-    present = np.unique(c.ids[mask])
-    strict = c.arrows[np.ix_(present, present)] & ~np.eye(len(present), dtype=bool)
-    kept = np.isin(c.ids, present[terminal(strict)])
     return FrontierResult(
-        groups=_group_members(system, np.flatnonzero(mask & kept)),
-        admissible_count=int(np.count_nonzero(mask)),
+        groups=tuple(FrontierGroup(members[a], tuple(members[a:b]))
+                     for a, b in zip([0] + ends, ends)),
+        admissible_count=int(np.count_nonzero(system.admissible_mask)),
         functor_count=system.functor_count,
     )
 
@@ -369,7 +372,7 @@ def pareto_frontier(system: ValuationSystem) -> FrontierResult:
     classes of images), then expands back to member systems grouped by
     componentwise iso class.
     """
-    return _frontier(system, lambda strict: ~strict.any(axis=1))
+    return _frontier(system, frontier_ranks(system))
 
 
 def frontier_via_chains(system: ValuationSystem) -> FrontierResult:
@@ -381,7 +384,7 @@ def frontier_via_chains(system: ValuationSystem) -> FrontierResult:
     frontier, not the table; ``tests/oracles.py`` is the independent
     route.
     """
-    return _frontier(system, lambda strict: strict.sum(axis=1) == 0)
+    return _frontier(system, _kept_ranks(system, lambda strict: strict.sum(axis=1) == 0))
 
 
 class ImprovementChains:
@@ -409,7 +412,7 @@ class ImprovementChains:
         rank = self.system.rank(draw)
         v = int(c.ids[rank])
         ids = np.array(self.ids, dtype=np.intp)
-        preds = np.flatnonzero(c.arrows[ids, v] & (ids != v)).tolist()
+        preds = np.flatnonzero(c.strict[ids, v]).tolist()
         least = self.best_chain(preds) + (len(self.ids),)
         if (-len(least), least) < (-len(self.best), self.best):
             self.best = least

@@ -1,5 +1,8 @@
 import copy
 import json
+import math
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -256,6 +259,47 @@ def test_cap_defers_to_first_enumeration():
         inst.system.image_tables
     assert e.value.required == 16
     assert e.value.cap == 4
+
+
+def test_capacity_guard_runs_before_any_table():
+    """An oversized system raises CapacityError, not numpy's allocation error."""
+    doc = fixture_doc("chain3")
+    doc.pop("scale")
+    doc["system_size"] = 40
+    inst = pc.load_instance(doc)
+    with pytest.raises(pc.CapacityError) as e:
+        pc.pareto_frontier(inst.system)
+    assert str(e.value) == "4^40 systems exceeds cap 1000000"
+    assert e.value.required == math.inf  # K^n is not computed past the cap's bit length
+    with pytest.raises(pc.CapacityError):
+        pc.minorizes(inst.system, (0,) * 40, (1,) * 40)
+    with pytest.raises(pc.CapacityError):
+        pc.prime_admissibility(inst.system)
+
+
+def test_huge_system_size_fails_fast_on_scale_rows():
+    """The row count is compared with K^n without computing its digits."""
+    doc = fixture_doc("chain3")
+    doc["system_size"] = 100000
+    start = time.perf_counter()
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(doc)
+    assert time.perf_counter() - start < 1.0
+    assert code_of(e) == "scale.shape"
+    assert e.value.detail == "need 4^100000 rows (one per system)"
+
+
+@pytest.mark.parametrize("row,code", [([-1, 0, 0], "scale.range"),
+                                      ([4, 0, 0], "scale.range"),
+                                      ([3, 0, 1], "scale.transition")],
+                         ids=["negative", "out-of-range", "no-transition"])
+def test_validate_instance_checks_hand_built_scale_rows(staircase, row, code):
+    """A hand-built instance gets the same scale-row rule as a loaded one."""
+    tables = [t.copy() for t in staircase.scale.tables]
+    tables[0][staircase.system.rank((0, 1)), : len(row)] = row
+    inst = replace(staircase, scale=replace(staircase.scale, tables=tuple(tables)))
+    assert [(p.code, p.path) for p in pc.validate_instance(inst)] == \
+        [(code, "scale.valuations_scaled[0][1]")]
 
 
 def test_fixture_path_unknown_name():

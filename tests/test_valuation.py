@@ -180,6 +180,22 @@ def test_minorizes_is_preorder_on_admissibles(system, data):
     assert not pc.minorizes(system, a, a, strict=True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(valuation_systems())
+def test_strict_table_matches_oracle(system):
+    """Frontier and strict improvement sets, read off the class table,
+    equal the brute-force oracle on the emitted document."""
+    k = system.cat.size
+    doc = pc.emit_instance(pc.Instance(cat=system.cat, n=system.n,
+                                       objectives=system.objectives,
+                                       distribution=pc.ObjectDistribution([f"1/{k}"] * k)))
+    assert pc.pareto_frontier(system).member_set == oracles.brute_frontier(doc)
+    for phi in pc.enumerate_summing_functors(system.cat, system.n):
+        if pc.admissible(system, phi):
+            assert pc.strict_minorization_set(system, phi) == \
+                oracles.brute_strict_improvers(doc, phi)
+
+
 def test_prime_admissibility_thread_independent(staircase):
     s1 = pc.ValuationSystem(
         cat=staircase.cat, n=staircase.n, objectives=staircase.objectives, cap=10**6
