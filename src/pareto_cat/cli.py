@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,17 +29,17 @@ _PROG = "pareto-cat"
 
 
 def _emit(doc: dict, out: str | None, csv_rows=None, csv_header=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    if out.endswith(".csv"):
+    if out is not None and out.endswith(".csv"):
         if csv_rows is None:
             raise ParetoCatError(f"CSV output is not available for this command: {out}")
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(csv_header)
             w.writerows(csv_rows)
+        return
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if out is None:
+        sys.stdout.write(text)
         return
     with open(out, "w") as fh:
         fh.write(text)
@@ -78,10 +77,6 @@ def _warn_if_empty(system) -> bool:
     return False
 
 
-def _rational(x) -> str:
-    return str(x) if isinstance(x, Fraction) else repr(float(x))
-
-
 def cmd_validate(args) -> int:
     inst, problems = load_instance(args.instance, cap=args.cap,
                                    use_closure=args.close_hom, strict=False)
@@ -104,13 +99,14 @@ def cmd_frontier(args) -> int:
     prime_admissibility(inst.system, threads=args.threads)
     _warn_if_empty(inst.system)
     result = pareto_frontier(inst.system)
-    doc = result.to_dict()
-    rows = []
-    for gi, g in enumerate(result.groups):
-        rep = " ".join(map(str, g.representative))
-        for m in g.members:
-            rows.append([gi, rep, " ".join(map(str, m))])
-    _emit(doc, args.out, csv_rows=rows,
+
+    def rows():
+        for gi, g in enumerate(result.groups):
+            rep = " ".join(map(str, g.representative))
+            for m in g.members:
+                yield [gi, rep, " ".join(map(str, m))]
+
+    _emit(result.to_dict(), args.out, csv_rows=rows(),
           csv_header=["group", "representative", "member"])
     return 0
 
@@ -154,13 +150,12 @@ def cmd_swarm(args) -> int:
     config = SwarmConfig(particles=args.particles, draws=args.draws,
                          epsilon=args.epsilon, seed=seed, budget=args.budget)
     report = run_swarm(inst, config)
-    doc = report.to_dict()
-    rows = [
+    rows = (
         [f.particle, f.draw_index, " ".join(map(str, f.functor)), f.epsilon,
          ";".join(f"{p}:{d}" for p, d in f.witness)]
         for f in report.flagged
-    ]
-    _emit(doc, args.out, csv_rows=rows,
+    )
+    _emit(report.to_dict(), args.out, csv_rows=rows,
           csv_header=["particle", "draw_index", "system", "epsilon", "witness"])
     return 0
 

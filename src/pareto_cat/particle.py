@@ -24,10 +24,10 @@ from .errors import PreconditionError, SamplingError
 from .probcat import ProbMorphism, ProbObject
 from .rescat import TargetCategory
 from .valuation import (
+    ImprovementChains,
     ObjectDistribution,
     ValuationSystem,
     images_of,
-    longest_strict_chains,
     minorization_mass,
 )
 
@@ -282,10 +282,15 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     """Draw positions 0..n, score each with its strict-improvement mass,
     and evolve the best-index distribution.
 
-    Deterministic and replayable for a fixed seed. The trace records
-    whether the coarse lower bound ``c_n^n >= (1-l_0)^n`` held and
-    whether jump probabilities were non-increasing along every realized
-    longest improvement chain; neither is asserted here, since both can
+    Deterministic and replayable for a fixed seed. The draws feed one
+    :class:`ImprovementChains` walk and every answer is read off it; a
+    jump probability depends only on the draw's class vector, so it is
+    computed once per distinct vector. The trace records whether the
+    coarse lower bound ``c_n^n >= (1-l_0)^n`` held and whether jump
+    probabilities were non-increasing (within ``ESTIMATE_TOL``) along
+    every longest improvement chain, by a DP over the walk's
+    predecessors: a longest chain ending at draw j extends one ending at
+    a predecessor one shorter. Neither is asserted here, since both can
     legitimately fail (the former whenever ``l_0 < 1/2``, the latter on
     instances with improvement cycles).
     """
@@ -293,19 +298,22 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
         raise PreconditionError("number of steps must be >= 0")
     gen = np.random.default_rng(np.random.SeedSequence(seed))
     counter = [0, 0]
-    draws = tuple(sample_admissible(system, dist, gen, budget, counter) for _ in range(n + 1))
-    jump_probs = tuple(minorization_mass(system, dist, d, exact=exact) for d in draws)
+    chains = ImprovementChains(system)
+    for _ in range(n + 1):
+        chains.add(sample_admissible(system, dist, gen, budget, counter))
+    by_class = {v: minorization_mass(system, dist, d, exact=exact)
+                for v, d in dict(zip(chains.ids, chains.draws)).items()}
+    jump_probs = tuple(by_class[v] for v in chains.ids)
     coeffs = evolve_coefficients(jump_probs[:-1] if n else ())
     l0 = float(jump_probs[0])
     rough_ok = float(coeffs[-1]) >= (1 - l0) ** n - ESTIMATE_TOL
-    mono = True
-    for chain in longest_strict_chains(system, draws):
-        probs = [float(jump_probs[i]) for i in chain]
-        if any(b > a + ESTIMATE_TOL for a, b in zip(probs, probs[1:])):
-            mono = False
-            break
+    ok: list = []  # ok[j]: every longest chain ending at draw j is non-increasing
+    for j, preds in enumerate(chains.preds):
+        ok.append(all(ok[i] and float(jump_probs[j]) <= float(jump_probs[i]) + ESTIMATE_TOL
+                      for i in preds if len(chains.least[i]) == len(chains.least[j]) - 1))
+    mono = all(o for o, c in zip(ok, chains.least) if len(c) == len(chains.best))
     return ParticleTrace(
-        draws=draws,
+        draws=tuple(chains.draws),
         jump_probs=jump_probs,
         coeffs=tuple(coeffs),
         seed=seed,

@@ -17,6 +17,7 @@ assuming either.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -165,15 +166,8 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     for i in range(n_particles):
         draw(i)
 
-    flags: list = []
-    flagged_keys: set = set()
+    flags: dict = {}  # (particle, draw_index) -> FlagEntry, first flag kept
     cross_links: list = []
-
-    def add_flag(particle: int, k: int, functor: tuple, witness: tuple) -> None:
-        key = (particle, k)
-        if key not in flagged_keys:
-            flagged_keys.add(key)
-            flags.append(FlagEntry(particle, k, functor, witness, config.epsilon))
 
     for k in range(1, n_rounds + 1):
         preds = [draw(i) for i in range(n_particles)]
@@ -183,14 +177,14 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
             ranks = chains[i].ranks
             hits = [a for a in preds[i] if tables.reversible(ranks[a], ranks[k])]
             if hits:
-                chain = chains[i].best_chain(hits) + (k,)
-                add_flag(i, k, positions[i][k], tuple((i, idx) for idx in chain))
+                witness = tuple((i, idx) for idx in chains[i].best_chain(hits) + (k,))
+                flags.setdefault((i, k), FlagEntry(i, k, positions[i][k], witness, config.epsilon))
                 flagged_this_round.add(i)
 
         for i in range(n_particles):
             if i in flagged_this_round:
                 continue
-            chain = chains[i].best_chain()
+            chain = chains[i].best
             tip = chain[-1]
             tip_id = chains[i].ids[tip]
             for j in range(n_particles):
@@ -198,12 +192,13 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
                     cross_links.append((i, tip, j, k))
                     if tables.reversible(chains[i].ranks[tip], chains[j].ranks[k]):
                         witness = tuple((i, idx) for idx in chain) + ((j, k),)
-                        add_flag(j, k, positions[j][k], witness)
+                        flags.setdefault((j, k), FlagEntry(j, k, positions[j][k], witness,
+                                                           config.epsilon))
 
     final_chains = tuple(tuple(c.all_longest()) for c in chains)
     members = frontier_ranks(system)
     groups = system.iso_representatives[members]
-    flag_ranks = [chains[f.particle].ranks[f.draw_index] for f in flags]
+    flag_ranks = [chains[i].ranks[k] for i, k in flags]
     near = {r: tables.near(r, members) for r in dict.fromkeys(flag_ranks)}
     certified = [bool(near[r].any()) for r in flag_ranks]
     reached = np.zeros(len(members), dtype=bool)
@@ -212,10 +207,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     group_count = len(np.unique(groups))
     represented = len(np.unique(groups[reached]))
 
-    lengths = [max((len(c) for c in per), default=1) for per in final_chains]
-    hist: dict = {}
-    for L in lengths:
-        hist[str(L)] = hist.get(str(L), 0) + 1
+    hist = dict(Counter(str(len(c.best)) for c in chains))
     attempts = sum(c[0] for c in counters)
     accepted = sum(c[1] for c in counters)
     stats = {
@@ -233,7 +225,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     return SwarmReport(
         config=config,
         positions=tuple(tuple(p) for p in positions),
-        flagged=tuple(flags),
+        flagged=tuple(flags.values()),
         chains=final_chains,
         cross_links=tuple(cross_links),
         statistics=stats,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import LoadError, PreconditionError
 from .rescat import ResourceCategory, TargetCategory
-from .summing import DEFAULT_CAP, check_capacity, count_functors, tuple_rank
+from .summing import DEFAULT_CAP, check_capacity, count_functors, count_within, tuple_rank
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ class ValuationSystem:
         Returns LoadError records (not raised) so a loader can batch them.
         """
         problems = []
-        k, total = self.cat.size, self.functor_count
+        k, n = self.cat.size, self.n
         for i, obj in enumerate(self.objectives):
             path = f"valuations[{i}]"
             if obj.kind not in ("table", "composed"):
@@ -208,11 +208,12 @@ class ValuationSystem:
                                           f"unknown kind {obj.kind!r}"))
                 continue
             table = obj.kind == "table"
-            field, values, want = ((".map.entries", obj.entries, total) if table
-                                   else (".map.h", obj.h, k))
+            field, values = (".map.entries", obj.entries) if table else (".map.h", obj.h)
+            # a table's length is compared with K^n without expanding a huge K^n
+            want = count_within(k, n, len(values or ())) if table else k
             if values is None or len(values) != want:
                 problems.append(LoadError("valuation.shape", path + field,
-                                          f"table needs {total} entries" if table
+                                          f"table needs {k}^{n} entries" if table
                                           else f"composed map needs {k} entries"))
                 continue
             values = np.asarray(values)
@@ -423,11 +424,9 @@ class ImprovementChains:
         self.preds.append(preds)
         return preds
 
-    def best_chain(self, ends: Optional[Sequence[int]] = None) -> tuple:
+    def best_chain(self, ends: Sequence[int]) -> tuple:
         """Lexicographically least of the longest chains ending at one of
-        ``ends`` (default: any draw); ``()`` when there is none."""
-        if ends is None:
-            return self.best
+        ``ends``; ``()`` when there is none."""
         return min((self.least[j] for j in ends), key=lambda c: (-len(c), c), default=())
 
     def all_longest(self) -> list:
@@ -439,7 +438,7 @@ class ImprovementChains:
             return [c + (j,) for i in self.preds[j] if len(self.least[i]) == length - 1
                     for c in ending_at(i)]
 
-        top = len(self.best_chain())
+        top = len(self.best)
         return sorted(c for j in range(len(self.least)) if len(self.least[j]) == top
                       for c in ending_at(j))
 

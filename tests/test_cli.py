@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -178,6 +179,33 @@ def test_swarm_byte_identical_across_runs_and_threads(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def _frontier_rows(doc):
+    return [[str(gi), " ".join(map(str, g["representative"])), " ".join(map(str, m))]
+            for gi, g in enumerate(doc["groups"]) for m in g["members"]]
+
+
+def _flag_rows(doc):
+    return [[str(f["particle"]), str(f["draw_index"]), " ".join(map(str, f["functor"])),
+             str(f["epsilon"]), ";".join(f"{p}:{d}" for p, d in f["witness"])]
+            for f in doc["flagged"]]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["frontier", CHAIN3], _frontier_rows),
+    (["swarm", STAIRCASE, "--particles", "8", "--draws", "20", "--epsilon", "1",
+      "--seed", "2026"], _flag_rows),
+])
+def test_csv_rows_match_json_output(tmp_path, capsys, argv, rows):
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    target = tmp_path / "out.csv"
+    code, out, _ = run(capsys, argv + ["--out", str(target)])
+    assert code == 0 and out == ""
+    with open(target, newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[1:] == rows(doc) != []
 
 
 # ----------------------------------------------------- certify / interleave

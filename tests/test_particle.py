@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import pareto_cat as pc
 
 import oracles
-from conftest import lambda_sequences
+from conftest import fixture_doc, lambda_sequences
 
 # --- frozen values (tests/oracles.py, exhaustive pattern enumeration) ---
 COEFFS_HALF = (0.5, 0.5)
@@ -208,6 +209,48 @@ def test_run_particle_rough_bound_recorded_not_asserted(chain3):
             break
     else:
         pytest.skip("no frontier-start seed found in range")
+
+
+@pytest.fixture(scope="module")
+def skewed_cycle2():
+    """cycle2 with unequal weights on the two admissible objects, whose
+    jump probabilities (1/3 and 1/2) differ, so a chain can rise."""
+    doc = fixture_doc("cycle2")
+    doc["distribution"]["weights"] = ["1/6", "1/2", "1/3"]
+    return pc.load_instance(doc)
+
+
+def test_chains_monotone_matches_every_longest_chain(skewed_cycle2):
+    inst = skewed_cycle2
+    seen = set()
+    for seed in range(20):
+        for draws in (3, 8, 20):
+            tr = pc.run_particle(inst.system, inst.distribution, draws, seed=seed)
+            expected = all(
+                all(tr.jump_probs[b] <= tr.jump_probs[a] + 1e-12 for a, b in zip(c, c[1:]))
+                for c in pc.longest_strict_chains(inst.system, tr.draws)
+            )
+            assert tr.chains_monotone == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_jump_probs_are_each_draws_mass(skewed_cycle2, staircase, exact):
+    for inst in (skewed_cycle2, staircase):
+        tr = pc.run_particle(inst.system, inst.distribution, 30, seed=5, exact=exact)
+        assert tr.jump_probs == tuple(
+            pc.minorization_mass(inst.system, inst.distribution, d, exact=exact)
+            for d in tr.draws)
+        assert all(isinstance(l, Fraction if exact else float) for l in tr.jump_probs)
+
+
+def test_run_particle_is_linear_on_improvement_cycles(cycle2):
+    # cycle2's longest chains grow exponentially in the number of draws
+    start = time.perf_counter()
+    tr = pc.run_particle(cycle2.system, cycle2.distribution, 400, seed=1)
+    assert time.perf_counter() - start < 2.0
+    assert len(tr.draws) == 401 and tr.chains_monotone
 
 
 def test_sampling_error_reports_measured_rate():

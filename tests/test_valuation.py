@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -253,3 +254,16 @@ def test_capacity_guard():
     system = pc.ValuationSystem(cat=cat, n=40, objectives=(obj,), cap=1000)
     with pytest.raises(pc.CapacityError):
         system.image_tables
+
+
+def test_validate_maps_never_expands_a_huge_system_count(chain3):
+    # 4^100000 has 60,206 digits: printing or even computing it is the hang
+    obj = chain3.objectives[0]
+    table = pc.Objective(target=obj.target, goal=obj.goal, kind="table",
+                         entries=tuple(range(4)) * 4)
+    system = pc.ValuationSystem(cat=chain3.cat, n=10**5, objectives=(table,))
+    start = time.perf_counter()
+    problems = system.validate_maps()
+    assert time.perf_counter() - start < 1.0
+    assert [(p.code, p.path, p.detail) for p in problems] == [
+        ("valuation.shape", "valuations[0].map.entries", "table needs 4^100000 entries")]
