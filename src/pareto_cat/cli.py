@@ -101,10 +101,10 @@ def cmd_frontier(args) -> int:
     result = pareto_frontier(inst.system)
 
     def rows():
-        for gi, g in enumerate(result.groups):
-            rep = " ".join(map(str, g.representative))
-            for m in g.members:
-                yield [gi, rep, " ".join(map(str, m))]
+        members = [" ".join(map(str, m)) for m in result.rows.tolist()]
+        for gi, (a, b) in enumerate(result.spans):
+            for m in members[a:b]:
+                yield [gi, members[a], m]
 
     _emit(result.to_dict(), args.out, csv_rows=rows(),
           csv_header=["group", "representative", "member"])

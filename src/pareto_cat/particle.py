@@ -252,21 +252,45 @@ class ParticleTrace:
         }
 
 
+READ_AHEAD_DIGITS = 256  # object ids per read-ahead block
+
+
+def _draw_block(system: ValuationSystem, w: np.ndarray, gen: np.random.Generator,
+                rows: int) -> list:
+    """``rows`` draws from ``gen`` as ``(system, admissible)`` pairs, the
+    last draw first. One ``choice`` of shape ``(rows, n)`` takes the same
+    values from ``gen``, and leaves it in the same state, as ``rows``
+    calls of shape ``n``."""
+    k, n = system.cat.size, system.n
+    block = gen.choice(k, size=(rows, n), p=w) if n else np.zeros((rows, 0), dtype=np.int64)
+    ok = system.admissible_mask[block @ k ** np.arange(n - 1, -1, -1)]
+    return list(zip(map(tuple, block.tolist()), ok.tolist()))[::-1]
+
+
 def sample_admissible(system: ValuationSystem, dist: ObjectDistribution,
                       gen: np.random.Generator, budget: int = 10**5,
-                      _counter: Optional[list] = None) -> tuple:
+                      _counter: Optional[list] = None,
+                      _buffer: Optional[list] = None) -> tuple:
     """One draw from the product measure conditioned on admissibility,
     by rejection. Raises :class:`SamplingError` with the measured
     acceptance rate when the attempt budget runs out: accepted over
     attempted draws as tallied in ``_counter`` (the failed call's
-    attempts included), else 0.0 for this call alone."""
-    k, n = system.cat.size, system.n
-    w = dist.as_floats
-    for attempt in range(1, budget + 1):
-        tup = tuple(int(v) for v in gen.choice(k, size=n, p=w)) if n else ()
+    attempts included), else 0.0 for this call alone.
+
+    Without ``_buffer`` the call takes from ``gen`` exactly the draws it
+    tries. A caller that owns ``gen`` may pass one list per generator as
+    ``_buffer``: the call then takes draws from ``gen`` in blocks and
+    keeps the ones it has not tried there for the next call. The draws
+    returned, and the attempts tallied, are the same either way."""
+    rows = 1 if _buffer is None else max(1, READ_AHEAD_DIGITS // max(system.n, 1))
+    pending = [] if _buffer is None else _buffer
+    for _ in range(budget):
+        if not pending:
+            pending.extend(_draw_block(system, dist.as_floats, gen, rows))
+        tup, ok = pending.pop()
         if _counter is not None:
             _counter[0] += 1
-        if system.admissible_flags[system.rank(tup)]:
+        if ok:
             if _counter is not None:
                 _counter[1] += 1
             return tup
@@ -298,9 +322,10 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
         raise PreconditionError("number of steps must be >= 0")
     gen = np.random.default_rng(np.random.SeedSequence(seed))
     counter = [0, 0]
+    buffer: list = []
     chains = ImprovementChains(system)
     for _ in range(n + 1):
-        chains.add(sample_admissible(system, dist, gen, budget, counter))
+        chains.add(sample_admissible(system, dist, gen, budget, counter, buffer))
     by_class = {v: minorization_mass(system, dist, d, exact=exact)
                 for v, d in dict(zip(chains.ids, chains.draws)).items()}
     jump_probs = tuple(by_class[v] for v in chains.ids)
@@ -308,9 +333,9 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     l0 = float(jump_probs[0])
     rough_ok = float(coeffs[-1]) >= (1 - l0) ** n - ESTIMATE_TOL
     ok: list = []  # ok[j]: every longest chain ending at draw j is non-increasing
-    for j, preds in enumerate(chains.preds):
+    for j, steps in enumerate(chains.steps):
         ok.append(all(ok[i] and float(jump_probs[j]) <= float(jump_probs[i]) + ESTIMATE_TOL
-                      for i in preds if len(chains.least[i]) == len(chains.least[j]) - 1))
+                      for i in steps))
     mono = all(o for o, c in zip(ok, chains.least) if len(c) == len(chains.best))
     return ParticleTrace(
         draws=tuple(chains.draws),

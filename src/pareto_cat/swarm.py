@@ -90,13 +90,26 @@ class SwarmReport:
         }
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` when it is read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _ScaleTables:
     """The instance's scale tables read by rank, for one shift ``eps``.
 
     Per objective, the ``(systems, grid_len)`` int table and its target's
     hom matrix. Every row is checked once, as :class:`ScaleObject` checks
     one, so a hand-built instance fails with the same
-    :class:`StructureError`. Reversibility is memoised per rank pair.
+    :class:`StructureError`. Reversibility is memoised per rank pair, one
+    dict per destination rank, so the flag test reads it at dict speed.
     """
 
     def __init__(self, inst: Instance, eps: int):
@@ -112,7 +125,16 @@ class _ScaleTables:
             # steps, the last value repeating; the last row is the eps shift
             shifts = np.minimum(np.arange(top + 1) + np.arange(min(eps, top) + 1)[:, None], top)
             self.objectives.append((t, hom, shifts))
-        self.memo: dict = {}
+        self.memo: dict = {}  # dst rank -> _Memo of reversible(src, dst) by src rank
+
+    def into(self, dst: int) -> dict:
+        """``reversible(src, dst)`` by source rank ``src``, filled in as
+        it is read."""
+        if dst not in self.memo:
+            self.memo[dst] = _Memo(lambda src: all(
+                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
+                for t, hom, shifts in self.objectives))
+        return self.memo[dst]
 
     def reversible(self, src: int, dst: int) -> bool:
         """All objectives: the scaled conversion src -> dst exists at every
@@ -120,13 +142,7 @@ class _ScaleTables:
 
         A missing scaled conversion counts as not reversible rather than
         an error: the flag test is advisory and simply fails."""
-        key = (src, dst)
-        if key not in self.memo:
-            self.memo[key] = all(
-                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
-                for t, hom, shifts in self.objectives
-            )
-        return self.memo[key]
+        return self.into(dst)[src]
 
     def near(self, rank: int, members: np.ndarray) -> np.ndarray:
         """Per member rank: within interleaving distance ``eps`` of
@@ -152,6 +168,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     streams = np.random.SeedSequence(config.seed).spawn(n_particles)
     gens = [np.random.default_rng(s) for s in streams]
     counters = [[0, 0] for _ in range(n_particles)]
+    buffers: list = [[] for _ in range(n_particles)]
     tables = _ScaleTables(inst, config.epsilon)
 
     strict = system.image_class_vectors.strict
@@ -161,7 +178,8 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     def draw(i: int) -> list:
         """Particle i's next position; returns the earlier ones it strictly improves on."""
         return chains[i].add(
-            sample_admissible(system, inst.distribution, gens[i], config.budget, counters[i]))
+            sample_admissible(system, inst.distribution, gens[i], config.budget, counters[i],
+                              buffers[i]))
 
     for i in range(n_particles):
         draw(i)
@@ -175,7 +193,8 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
         flagged_this_round = set()
         for i in range(n_particles):
             ranks = chains[i].ranks
-            hits = [a for a in preds[i] if tables.reversible(ranks[a], ranks[k])]
+            into = tables.into(ranks[k])
+            hits = [a for a in preds[i] if into[ranks[a]]]
             if hits:
                 witness = tuple((i, idx) for idx in chains[i].best_chain(hits) + (k,))
                 flags.setdefault((i, k), FlagEntry(i, k, positions[i][k], witness, config.epsilon))

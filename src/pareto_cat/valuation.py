@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LoadError, PreconditionError
+from .errors import CapacityError, LoadError, PreconditionError
 from .rescat import ResourceCategory, TargetCategory
 from .summing import DEFAULT_CAP, check_capacity, count_functors, count_within, tuple_rank
 
@@ -311,24 +311,45 @@ class FrontierGroup:
 
 @dataclass(frozen=True)
 class FrontierResult:
-    groups: tuple
+    """The frontier's members as rows of object ids, group by group:
+    ``spans`` gives each group's ``(start, end)`` rows, and a group's
+    first row is its representative."""
+
+    rows: np.ndarray
+    ends: tuple  # where each group's rows end
     admissible_count: int
     functor_count: int
 
     @property
+    def spans(self) -> list:
+        return list(zip((0,) + self.ends, self.ends))
+
+    @cached_property
+    def groups(self) -> tuple:
+        members = list(map(tuple, self.rows.tolist()))
+        return tuple(FrontierGroup(members[a], tuple(members[a:b])) for a, b in self.spans)
+
+    @property
     def member_set(self) -> frozenset:
-        return frozenset(m for g in self.groups for m in g.members)
+        return frozenset(map(tuple, self.rows.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FrontierResult) and self.ends == other.ends
+                and np.array_equal(self.rows, other.rows)
+                and self.admissible_count == other.admissible_count
+                and self.functor_count == other.functor_count)
+
+    def __hash__(self) -> int:
+        return hash((self.ends, self.admissible_count, self.functor_count))
 
     def to_dict(self) -> dict:
+        rows = self.rows.tolist()
         return {
-            "groups": [
-                {"representative": list(g.representative),
-                 "members": [list(m) for m in g.members]}
-                for g in self.groups
-            ],
+            "groups": [{"representative": list(rows[a]), "members": rows[a:b]}
+                       for a, b in self.spans],
             "admissible_count": self.admissible_count,
             "functor_count": self.functor_count,
-            "frontier_count": sum(len(g.members) for g in self.groups),
+            "frontier_count": len(rows),
         }
 
 
@@ -356,11 +377,9 @@ def _frontier(system: ValuationSystem, ranks: np.ndarray) -> FrontierResult:
     _, leader, group = np.unique(system.iso_representatives[ranks],
                                  return_index=True, return_inverse=True)
     order = np.argsort(leader[group], kind="stable")
-    members = list(map(tuple, system.digits(ranks[order]).tolist()))
-    ends = np.cumsum(np.bincount(group)[np.argsort(leader)]).tolist()
     return FrontierResult(
-        groups=tuple(FrontierGroup(members[a], tuple(members[a:b]))
-                     for a, b in zip([0] + ends, ends)),
+        rows=system.digits(ranks[order]),
+        ends=tuple(np.cumsum(np.bincount(group)[np.argsort(leader)]).tolist()),
         admissible_count=int(np.count_nonzero(system.admissible_mask)),
         functor_count=system.functor_count,
     )
@@ -392,10 +411,12 @@ class ImprovementChains:
     """The longest-chain DP over a growing sequence of draws.
 
     A chain is an increasing tuple of draw indices, each draw strictly
-    improving on the one before. ``preds[j]`` lists the earlier draws that
-    draw j strictly improves on, and ``least[j]`` is the lexicographically
+    improving on the one before. ``least[j]`` is the lexicographically
     least of the longest chains ending at draw j; ``best`` is the least
-    of all of them.
+    of all of them. ``steps[j]`` lists the earlier draws that draw j
+    strictly improves on and that end a chain one shorter than
+    ``least[j]``: every longest chain ending at draw j extends one ending
+    at one of them.
     """
 
     def __init__(self, system: ValuationSystem):
@@ -403,44 +424,81 @@ class ImprovementChains:
         self.draws: list = []
         self.ranks: list = []   # rank per draw
         self.ids: list = []     # class-vector id per draw
-        self.preds: list = []
+        self.steps: list = []
         self.least: list = []
         self.best: tuple = ()
+        self._lengths: list = []  # len(least[j]) per draw
+        self._id_array = np.empty(64, dtype=np.intp)  # ids, grown by doubling
 
     def add(self, draw: Sequence[int]) -> list:
-        """Append ``draw``; returns its predecessors in index order."""
+        """Append ``draw``; returns the earlier draws it strictly improves
+        on, in index order."""
         c = self.system.image_class_vectors
         rank = self.system.rank(draw)
         v = int(c.ids[rank])
-        ids = np.array(self.ids, dtype=np.intp)
-        preds = np.flatnonzero(c.strict[ids, v]).tolist()
-        least = self.best_chain(preds) + (len(self.ids),)
+        j = len(self.ids)
+        if j == len(self._id_array):
+            self._id_array = np.concatenate([self._id_array, self._id_array])
+        self._id_array[j] = v
+        preds = c.strict[:, v][self._id_array[:j]].nonzero()[0].tolist()
+        steps = self._longest(preds)
+        least = min((self.least[i] for i in steps), default=()) + (j,)
         if (-len(least), least) < (-len(self.best), self.best):
             self.best = least
         self.least.append(least)
         self.draws.append(draw)
         self.ranks.append(rank)
+        self._lengths.append(len(least))
         self.ids.append(v)
-        self.preds.append(preds)
+        self.steps.append(steps)
         return preds
+
+    def _longest(self, ends: Sequence[int]) -> list:
+        """The draws among ``ends`` that end the longest chains."""
+        lengths = self._lengths
+        top = max([lengths[j] for j in ends], default=0)
+        return [j for j in ends if lengths[j] == top]
 
     def best_chain(self, ends: Sequence[int]) -> tuple:
         """Lexicographically least of the longest chains ending at one of
         ``ends``; ``()`` when there is none."""
-        return min((self.least[j] for j in ends), key=lambda c: (-len(c), c), default=())
+        return min((self.least[j] for j in self._longest(ends)), default=())
+
+    def count_longest(self) -> int:
+        """How many longest chains there are, by the ``steps`` DP: linear
+        in its edges, without listing a chain."""
+        count: list = []
+        for steps in self.steps:
+            count.append(sum(count[i] for i in steps) if steps else 1)
+        top = len(self.best)
+        return sum(n for n, length in zip(count, self._lengths) if length == top)
 
     def all_longest(self) -> list:
-        """Every longest chain, sorted."""
-        def ending_at(j: int) -> list:
-            length = len(self.least[j])
-            if length == 1:
-                return [(j,)]
-            return [c + (j,) for i in self.preds[j] if len(self.least[i]) == length - 1
-                    for c in ending_at(i)]
+        """Every longest chain, sorted.
 
-        top = len(self.best)
-        return sorted(c for j in range(len(self.least)) if len(self.least[j]) == top
-                      for c in ending_at(j))
+        Raises :class:`CapacityError` before listing any when the chains
+        hold more draw indices than the system's cap. The listing extends
+        chain prefixes one draw at a time, in index order, only by draws
+        that lie on a longest chain: it comes out sorted, and no level
+        holds more prefixes than there are longest chains.
+        """
+        top, cap = len(self.best), self.system.cap
+        count = self.count_longest()
+        if count * top > cap:
+            shown = count if count <= cap else f"more than {cap}"  # may run to thousands of digits
+            raise CapacityError(f"listing {shown} longest chains of length {top} exceeds cap {cap}",
+                                required=count * top, cap=cap)
+        on = [length == top for length in self._lengths]  # on[j]: j lies on a longest chain
+        nexts: list = [[] for _ in on]  # per draw, the next draws on those chains, descending
+        for j in reversed(range(len(on))):
+            if on[j]:
+                for i in self.steps[j]:
+                    on[i] = True
+                    nexts[i].append(j)
+        chains = [(j,) for j, length in enumerate(self._lengths) if on[j] and length == 1]
+        for _ in range(top - 1):
+            chains = [c + (i,) for c in chains for i in reversed(nexts[c[-1]])]
+        return chains
 
 
 def longest_strict_chains(system: ValuationSystem, draws: Sequence[Sequence[int]]) -> list:

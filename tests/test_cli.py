@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -167,6 +168,16 @@ def test_swarm_json_and_csv(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "particle,draw_index,system,epsilon,witness"
     assert len(lines) == len(doc["flagged"]) + 1
+
+
+def test_swarm_refuses_to_list_too_many_chains(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["swarm", CYCLE2, "--particles", "1", "--draws", "50",
+                                  "--seed", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == ("pareto-cat: error: listing 290304 longest chains of length 27 "
+                   "exceeds cap 1000000\n")
 
 
 def test_swarm_byte_identical_across_runs_and_threads(capsys):

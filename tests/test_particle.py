@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
+import pareto_cat.particle as particle
 
 import oracles
-from conftest import fixture_doc, lambda_sequences
+from conftest import fixture_doc, lambda_sequences, level_category
 
 # --- frozen values (tests/oracles.py, exhaustive pattern enumeration) ---
 COEFFS_HALF = (0.5, 0.5)
@@ -275,6 +276,56 @@ def test_sampling_error_reports_measured_rate():
     with pytest.raises(pc.SamplingError) as err:
         pc.sample_admissible(system, dist, np.random.default_rng(3), budget=0)
     assert err.value.acceptance_rate == 0.0
+
+
+@st.composite
+def sampling_cases(draw):
+    """A system whose admissible ranks are a random mask (often sparse or
+    empty), random object weights, and a read-ahead block size."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    cat, _ = level_category(draw, k)
+    density = draw(st.integers(0, 10))
+    mask = tuple(int(draw(st.integers(0, 9)) < density) for _ in range(k ** n))
+    target = pc.TargetCategory(2, [[1, 0], [0, 1]], [[0], [1]])
+    obj = pc.Objective(target=target, goal=1, kind="table", entries=mask)
+    system = pc.ValuationSystem(cat=cat, n=n, objectives=(obj,), cap=10**6)
+    raw = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    dist = pc.ObjectDistribution([Fraction(r, sum(raw)) for r in raw])
+    return system, dist, draw(st.integers(1, 40))
+
+
+@given(sampling_cases(), st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_read_ahead_sampling_matches_sequential_calls(case, seed, budget, calls):
+    """Reading ahead from a private generator returns the same draws,
+    tallies the same attempts and fails the same calls, with the same
+    measured rate, as taking one draw at a time."""
+    system, dist, digits = case
+
+    def outcomes(buffer):
+        gen, counter, out = np.random.default_rng(seed), [0, 0], []
+        for _ in range(calls):
+            try:
+                out.append(particle.sample_admissible(system, dist, gen, budget, counter,
+                                                      buffer))
+            except pc.SamplingError as e:
+                out.append(("error", e.acceptance_rate))
+            out.append(tuple(counter))
+        return out, gen
+
+    saved = particle.READ_AHEAD_DIGITS
+    particle.READ_AHEAD_DIGITS = digits
+    try:
+        buffered, _ = outcomes([])
+        sequential, gen = outcomes(None)
+    finally:
+        particle.READ_AHEAD_DIGITS = saved
+    assert buffered == sequential
+    # without a buffer, the calls took from the generator exactly the draws they tried
+    ref = np.random.default_rng(seed)
+    if system.n:
+        ref.choice(system.cat.size, size=(sequential[-1][0], system.n), p=dist.as_floats)
+    assert gen.random() == ref.random()
 
 
 def test_sampling_error_when_nothing_admissible():

@@ -155,6 +155,22 @@ def test_sampling_error_propagates():
         pc.run_swarm(inst, cfg)
 
 
+def test_chain_listing_guard_on_improvement_cycles(cycle2):
+    """cycle2's longest chains multiply with the draws: the report
+    refuses to list them beyond the instance's cap, and lists them as
+    before below it."""
+    cfg = pc.SwarmConfig(particles=1, draws=50, epsilon=0, seed=1)
+    with pytest.raises(pc.CapacityError):
+        pc.run_swarm(replace(cycle2, cap=1000), cfg)
+    cfg = pc.SwarmConfig(particles=1, draws=16, epsilon=0, seed=1)
+    chains = pc.run_swarm(cycle2, cfg).chains[0]
+    assert len(chains) == 72
+    entries = len(chains) * len(chains[0])
+    assert pc.run_swarm(replace(cycle2, cap=entries), cfg).chains[0] == chains
+    with pytest.raises(pc.CapacityError):
+        pc.run_swarm(replace(cycle2, cap=entries - 1), cfg)
+
+
 @st.composite
 def scaled_instances(draw):
     """A random level-category system with a legal scale table per

@@ -1,11 +1,14 @@
+import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
+from pareto_cat.valuation import ImprovementChains
 
 import oracles
 from conftest import fixture_doc, valuation_systems
@@ -219,6 +222,80 @@ def test_longest_strict_chains(staircase):
     # two draws of one frontier member: no strict link
     chains = pc.longest_strict_chains(s, [(0, 1), (0, 1)])
     assert chains == [(0,), (1,)]
+
+
+def _brute_longest_chains(system, draws):
+    """Every longest strictly improving index subsequence, by trying all
+    of them."""
+    def improving(chain):
+        return all(pc.minorizes(system, draws[a], draws[b], strict=True)
+                   for a, b in zip(chain, chain[1:]))
+    for length in range(len(draws), 0, -1):
+        found = [c for c in itertools.combinations(range(len(draws)), length) if improving(c)]
+        if found:
+            return found
+    return []
+
+
+def _check_walk(system, draws):
+    chains = ImprovementChains(system)
+    for d in draws:
+        chains.add(d)
+    listed = chains.all_longest()
+    assert listed == _brute_longest_chains(system, draws)
+    assert chains.count_longest() == len(listed)
+    assert chains.best == min(listed, default=())
+
+
+@settings(max_examples=60, deadline=None)
+@given(valuation_systems(), st.data())
+def test_chain_count_and_listing_match_brute_force(system, data):
+    digit = st.integers(0, system.cat.size - 1)
+    walk = st.lists(st.tuples(*[digit] * system.n), max_size=10)
+    _check_walk(system, data.draw(walk))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([(1,), (2,)]), max_size=12))
+def test_chain_count_and_listing_on_improvement_cycles(cycle2, draws):
+    """cycle2's two admissible objects strictly improve on each other, so
+    chains branch at every alternation."""
+    _check_walk(cycle2.system, draws)
+
+
+def test_chain_listing_refuses_beyond_cap(cycle2):
+    draws = [(1,), (2,)] * 6
+    system = cycle2.system
+    assert len(pc.longest_strict_chains(system, draws)) == 1
+    rng = np.random.default_rng(1)
+    draws = [(int(v),) for v in rng.integers(1, 3, 40)]
+    chains = ImprovementChains(system)
+    for d in draws:
+        chains.add(d)
+    count, top = chains.count_longest(), len(chains.best)
+    small = pc.ValuationSystem(cat=system.cat, n=system.n, objectives=system.objectives,
+                               cap=count * top - 1)
+    with pytest.raises(pc.CapacityError) as err:
+        pc.longest_strict_chains(small, draws)
+    assert err.value.required == count * top and err.value.cap == count * top - 1
+    assert str(err.value) == (f"listing {count} longest chains of length {top} "
+                              f"exceeds cap {count * top - 1}")
+    exact = pc.ValuationSystem(cat=system.cat, n=system.n, objectives=system.objectives,
+                               cap=count * top)
+    assert len(pc.longest_strict_chains(exact, draws)) == count
+
+
+@pytest.mark.parametrize("name", ["chain3", "cycle2", "staircase"])
+def test_frontier_document_matches_groups(all_instances, name):
+    f = pc.pareto_frontier(all_instances[name].system)
+    assert f.to_dict() == {
+        "groups": [{"representative": list(g.representative),
+                    "members": [list(m) for m in g.members]} for g in f.groups],
+        "admissible_count": f.admissible_count,
+        "functor_count": f.functor_count,
+        "frontier_count": sum(len(g.members) for g in f.groups),
+    }
+    assert f.member_set == {m for g in f.groups for m in g.members}
 
 
 def test_validate_maps_catches_iso_disrespect():
