@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ParetoCatError, SamplingError
+from .gcpause import gc_paused
 from .instance import load_instance
 from .particle import run_particle
 from .rescat import conversion_rate
@@ -37,7 +38,8 @@ def _emit(doc: dict, out: str | None, csv_rows=None, csv_header=None) -> None:
             w.writerow(csv_header)
             w.writerows(csv_rows)
         return
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with gc_paused():
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
         return

@@ -11,15 +11,18 @@ machine-readable code such as ``rescat.hom.transitivity``,
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import LoadError, StructureError
+from .gcpause import gc_paused
 from .rescat import ResourceCategory, TargetCategory, _check_shape, close_hom, validate_category
 from .scale import ScaleObject, first_bad_row
 from .summing import DEFAULT_CAP, count_within
@@ -86,6 +89,38 @@ class Instance:
         return self.distribution.mass(self.system.digits(ranks), exact=exact)
 
 
+def _is_int(x) -> bool:
+    """The one rule for an integer field: a JSON integer. bool, float
+    and str are refused rather than coerced, so ``0.5`` or ``"4"``
+    never load as ``0`` or ``4``."""
+    if isinstance(x, bool):
+        return False
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
+def _int(x, code: str, path: str, what: str) -> int:
+    if not _is_int(x):
+        raise LoadError(code, path, f"{what} must be an integer, not {type(x).__name__}")
+    return operator.index(x)
+
+
+def _int_rows(rows, code: str, path: str, what: str) -> list:
+    """Rows of integers (iso classes, tensor rows, a map's entries) as
+    tuples: one type pass over all their values, and a check of each
+    value only when that pass finds something other than an int."""
+    try:
+        rows = list(map(tuple, rows))
+    except TypeError:
+        raise LoadError(code, path, f"{what} must be lists of integers") from None
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return [tuple(_int(x, code, path, what) for x in row) for row in rows]
+
+
 def _bool_table(rows, path: str) -> list:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise LoadError("category.shape", path, "hom must be a list of lists")
@@ -98,10 +133,12 @@ def _build_category(doc, path: str, use_closure: bool, resource: bool = False):
     if not isinstance(doc, dict):
         raise LoadError("category.shape", path, "category must be an object")
     try:
-        fields = [int(doc["objects"]), _bool_table(doc["hom"], path + ".hom"),
-                  doc["iso_classes"]]
+        fields = [_int(doc["objects"], "category.shape", path, "objects"),
+                  _bool_table(doc["hom"], path + ".hom"),
+                  _int_rows(doc["iso_classes"], "category.shape", path, "iso classes")]
         if resource:
-            fields += [int(doc["unit"]), doc["tensor"]]
+            fields += [_int(doc["unit"], "category.shape", path, "unit"),
+                       _int_rows(doc["tensor"], "category.shape", path, "tensor rows")]
         cat = (ResourceCategory if resource else TargetCategory)(*fields)
         _check_shape(cat)
     except KeyError as e:
@@ -113,31 +150,40 @@ def _build_category(doc, path: str, use_closure: bool, resource: bool = False):
     return cat
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _grid_row(row, grid_len: int) -> bool:
+    """Whether a scale row is ``grid_len`` integers that fit an int64."""
+    return (isinstance(row, (list, tuple)) and len(row) == grid_len
+            and all(_is_int(x) and _INT64.min <= x <= _INT64.max for x in row))
+
+
 def _grid_table(table, k: int, n: int, grid_len: int, size: int, path: str) -> np.ndarray:
     """One objective's scale table as a (systems, grid_len) int array.
 
     The table needs K^n rows. Rows are checked in rank order: the first
     row with the wrong shape or a value out of ``0..size-1`` is the one
-    reported.
+    reported. A table of int lists is read in one pass; the row scan
+    runs only when that pass finds something else.
     """
     if not isinstance(table, list) or len(table) != count_within(k, n, len(table)):
         raise LoadError("scale.shape", path, f"need {k}^{n} rows (one per system)")
-    total = len(table)
-
-    def grid(rows) -> Optional[np.ndarray]:
+    total = good = len(table)
+    arr = None
+    if (set(map(type, table)) <= {list} and set(map(len, table)) <= {grid_len}
+            and set(map(type, chain.from_iterable(table))) <= {int}):
         try:
-            arr = np.array(rows, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        return arr if arr.shape == (len(rows), grid_len) else None
-
-    arr, good = grid(table), total
+            arr = np.fromiter(chain.from_iterable(table), np.int64,
+                              total * grid_len).reshape(total, grid_len)
+        except OverflowError:
+            pass
     if arr is None:
-        good = next(r for r, row in enumerate(table) if grid([row]) is None)
-        arr = np.array(table[:good], dtype=np.int64).reshape(good, grid_len)
-    out = np.flatnonzero(((arr < 0) | (arr >= size)).any(axis=1))
-    if out.size:
-        raise LoadError("scale.range", f"{path}[{out[0]}]", "grid value out of range")
+        good = next((r for r, row in enumerate(table) if not _grid_row(row, grid_len)), total)
+        arr = np.array(table[:good], dtype=np.int64)  # (good, grid_len), or empty
+    if arr.size and not 0 <= arr.min() <= arr.max() < size:
+        row = ((arr < 0) | (arr >= size)).any(axis=1).argmax()
+        raise LoadError("scale.range", f"{path}[{row}]", "grid value out of range")
     if good < total:
         raise LoadError("scale.shape", f"{path}[{good}]", f"need {grid_len} grid values")
     return arr
@@ -151,10 +197,7 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
         if key not in doc:
             raise LoadError("parse.shape", "$", f"missing section {key!r}")
     cat = _build_category(doc["category"], "category", use_closure, resource=True)
-    try:
-        n = int(doc["system_size"])
-    except (TypeError, ValueError):
-        raise LoadError("parse.shape", "system_size", "system size must be an integer")
+    n = _int(doc["system_size"], "parse.shape", "system_size", "system size")
     if n < 0:
         raise LoadError("parse.shape", "system_size", "system size must be >= 0")
 
@@ -172,11 +215,8 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
         if kind not in ("table", "composed"):
             raise LoadError("valuation.kind", path + ".map.kind", f"unknown kind {kind!r}")
         field_name = "entries" if kind == "table" else "h"
-        try:
-            goal = int(v.get("goal", -1))
-            values = tuple(int(x) for x in m.get(field_name, []))
-        except (TypeError, ValueError) as e:
-            raise LoadError("valuation.shape", path, str(e))
+        goal = _int(v.get("goal", -1), "valuation.shape", path, "goal")
+        values, = _int_rows([m.get(field_name, [])], "valuation.shape", path, field_name)
         objectives.append(Objective(target=target, goal=goal, kind=kind, **{field_name: values}))
 
     ddoc = doc["distribution"]
@@ -190,10 +230,7 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
         sdoc = doc["scale"]
         if not isinstance(sdoc, dict):
             raise LoadError("scale.shape", "scale", "scale must be an object")
-        try:
-            grid_len = int(sdoc.get("grid_len", 0))
-        except (TypeError, ValueError):
-            grid_len = 0  # reported below as a bad grid_len
+        grid_len = _int(sdoc.get("grid_len", 0), "scale.shape", "scale.grid_len", "grid_len")
         if grid_len < 1:
             raise LoadError("scale.shape", "scale.grid_len", "grid_len must be >= 1")
         tables = sdoc.get("valuations_scaled")
@@ -248,25 +285,30 @@ def validate_instance(inst: Instance) -> list:
     return problems
 
 
+def _read(source):
+    if isinstance(source, dict):
+        return source
+    try:
+        return json.loads(Path(source).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise LoadError("parse.json", str(source), str(e))
+    except OSError as e:
+        raise LoadError("parse.io", str(source), str(e))
+
+
 def load_instance(source: Union[str, Path, dict], cap: int = DEFAULT_CAP,
                   use_closure: bool = False, strict: bool = True):
     """Parse, build and validate an instance.
 
     ``source`` may be a path or an already-parsed document. With
     ``strict`` (the default) the first law violation raises; otherwise
-    returns ``(instance, problems)`` for reporting.
+    returns ``(instance, problems)`` for reporting. The cyclic collector
+    is paused throughout; the parsed document is released before it
+    resumes.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as e:
-            raise LoadError("parse.json", str(source), str(e))
-        except OSError as e:
-            raise LoadError("parse.io", str(source), str(e))
-    inst = build_instance(doc, cap=cap, use_closure=use_closure)
-    problems = validate_instance(inst)
+    with gc_paused():
+        inst = build_instance(_read(source), cap=cap, use_closure=use_closure)
+        problems = validate_instance(inst)
     if strict:
         if problems:
             raise problems[0]

@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, LoadError, PreconditionError
+from .gcpause import gc_paused
 from .rescat import ResourceCategory, TargetCategory
 from .summing import DEFAULT_CAP, check_capacity, count_functors, count_within, tuple_rank
 
@@ -342,6 +343,7 @@ class FrontierResult:
     def __hash__(self) -> int:
         return hash((self.ends, self.admissible_count, self.functor_count))
 
+    @gc_paused()
     def to_dict(self) -> dict:
         rows = self.rows.tolist()
         return {

@@ -1,10 +1,17 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and
+# a reproduction blob printed with any failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = ("chain3", "cycle2", "staircase")
 
