@@ -44,7 +44,7 @@ class SwarmConfig:
         if self.draws < 1:
             raise PreconditionError("need at least one draw round")
         if self.epsilon < 0:
-            raise PreconditionError("epsilon must be non-negative")
+            raise PreconditionError(f"epsilon must be non-negative, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -90,29 +90,18 @@ class SwarmReport:
         }
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fill(key)`` when it is read."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 class _ScaleTables:
     """The instance's scale tables read by rank, for one shift ``eps``.
 
     Per objective, the ``(systems, grid_len)`` int table and its target's
     hom matrix. Every row is checked once, as :class:`ScaleObject` checks
     one, so a hand-built instance fails with the same
-    :class:`StructureError`. Reversibility is memoised per rank pair, one
-    dict per destination rank, so the flag test reads it at dict speed.
+    :class:`StructureError`. Reversibility is memoised per rank pair.
     """
 
     def __init__(self, inst: Instance, eps: int):
+        if eps < 0:
+            raise PreconditionError(f"epsilon must be non-negative, got {eps}")
         self.objectives = []
         for table, obj in zip(inst.scale.tables, inst.objectives):
             bad = first_bad_row(table, obj.target.hom)
@@ -125,16 +114,7 @@ class _ScaleTables:
             # steps, the last value repeating; the last row is the eps shift
             shifts = np.minimum(np.arange(top + 1) + np.arange(min(eps, top) + 1)[:, None], top)
             self.objectives.append((t, hom, shifts))
-        self.memo: dict = {}  # dst rank -> _Memo of reversible(src, dst) by src rank
-
-    def into(self, dst: int) -> dict:
-        """``reversible(src, dst)`` by source rank ``src``, filled in as
-        it is read."""
-        if dst not in self.memo:
-            self.memo[dst] = _Memo(lambda src: all(
-                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
-                for t, hom, shifts in self.objectives))
-        return self.memo[dst]
+        self.memo: dict = {}  # (src, dst) rank pair -> reversible(src, dst)
 
     def reversible(self, src: int, dst: int) -> bool:
         """All objectives: the scaled conversion src -> dst exists at every
@@ -142,7 +122,12 @@ class _ScaleTables:
 
         A missing scaled conversion counts as not reversible rather than
         an error: the flag test is advisory and simply fails."""
-        return self.into(dst)[src]
+        key = (src, dst)
+        if key not in self.memo:
+            self.memo[key] = all(
+                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
+                for t, hom, shifts in self.objectives)
+        return self.memo[key]
 
     def near(self, rank: int, members: np.ndarray) -> np.ndarray:
         """Per member rank: within interleaving distance ``eps`` of
@@ -175,28 +160,26 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     chains = [ImprovementChains(system) for _ in range(n_particles)]
     positions = [c.draws for c in chains]
 
-    def draw(i: int) -> list:
-        """Particle i's next position; returns the earlier ones it strictly improves on."""
-        return chains[i].add(
-            sample_admissible(system, inst.distribution, gens[i], config.budget, counters[i],
-                              buffers[i]))
-
-    for i in range(n_particles):
-        draw(i)
-
     flags: dict = {}  # (particle, draw_index) -> FlagEntry, first flag kept
     cross_links: list = []
 
-    for k in range(1, n_rounds + 1):
-        preds = [draw(i) for i in range(n_particles)]
+    for k in range(n_rounds + 1):  # round 0 draws the starting positions only
+        for i in range(n_particles):
+            chains[i].add(sample_admissible(system, inst.distribution, gens[i], config.budget,
+                                            counters[i], buffers[i]))
+        if k == 0:
+            continue
 
         flagged_this_round = set()
         for i in range(n_particles):
-            ranks = chains[i].ranks
-            into = tables.into(ranks[k])
-            hits = [a for a in preds[i] if into[ranks[a]]]
-            if hits:
-                witness = tuple((i, idx) for idx in chains[i].best_chain(hits) + (k,))
+            # the longest, then least, chain ending at a rank that draw k
+            # strictly improves on and that is reversible into it
+            rank, row = chains[i].ranks[k], strict[:, chains[i].ids[k]].tolist()
+            _, witness = min((order for src, (order, u) in chains[i].by_rank.items()
+                              if row[u] and tables.reversible(src, rank)),
+                             default=(0, ()))
+            if witness:
+                witness = tuple((i, idx) for idx in witness + (k,))
                 flags.setdefault((i, k), FlagEntry(i, k, positions[i][k], witness, config.epsilon))
                 flagged_this_round.add(i)
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +45,10 @@ class Objective:
     kind: str
     entries: Optional[tuple] = None
     h: Optional[tuple] = None
+
+    @cached_property
+    def array(self) -> np.ndarray:  # the map's entries or h, converted once
+        return np.asarray(self.entries if self.kind == "table" else self.h)
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class ValuationSystem:
         tensor = np.asarray(self.cat.tensor)
         evaluation = self._fold(self.cat.unit, lambda acc, v: tensor[acc, v])
         return tuple(
-            np.asarray(obj.entries) if obj.kind == "table" else np.asarray(obj.h)[evaluation]
+            obj.array if obj.kind == "table" else obj.array[evaluation]
             for obj in self.objectives
         )
 
@@ -217,7 +222,7 @@ class ValuationSystem:
                                           f"table needs {k}^{n} entries" if table
                                           else f"composed map needs {k} entries"))
                 continue
-            values = np.asarray(values)
+            values = obj.array
             bad = values[(values < 0) | (values >= obj.target.size)]
             if bad.size:
                 problems.append(LoadError("valuation.range", path + field,
@@ -419,6 +424,14 @@ class ImprovementChains:
     strictly improves on and that end a chain one shorter than
     ``least[j]``: every longest chain ending at draw j extends one ending
     at one of them.
+
+    A chain's order is ``(-len(chain), chain)``: the longest, then least,
+    chain has the smallest. Strict improvement reads only class-vector
+    ids, so the DP keeps one record per id v drawn instead of a history:
+    ``by_class[v] = (order, ends)``, the least order of a chain ending at
+    a draw of class v and the draws that end one that long. Reversibility
+    reads only ranks: ``by_rank[r] = (order, v)`` holds the least order
+    of a chain ending at a draw of rank r, and r's class id.
     """
 
     def __init__(self, system: ValuationSystem):
@@ -429,42 +442,36 @@ class ImprovementChains:
         self.steps: list = []
         self.least: list = []
         self.best: tuple = ()
-        self._lengths: list = []  # len(least[j]) per draw
-        self._id_array = np.empty(64, dtype=np.intp)  # ids, grown by doubling
+        self.by_class: dict = {}
+        self.by_rank: dict = {}
 
-    def add(self, draw: Sequence[int]) -> list:
-        """Append ``draw``; returns the earlier draws it strictly improves
-        on, in index order."""
+    def add(self, draw: Sequence[int]) -> None:
+        """Append ``draw``, reading the records of the class vectors it
+        strictly improves on. A later draw of a class sees every earlier
+        one's predecessors, so its chains are never shorter."""
         c = self.system.image_class_vectors
         rank = self.system.rank(draw)
         v = int(c.ids[rank])
-        j = len(self.ids)
-        if j == len(self._id_array):
-            self._id_array = np.concatenate([self._id_array, self._id_array])
-        self._id_array[j] = v
-        preds = c.strict[:, v][self._id_array[:j]].nonzero()[0].tolist()
-        steps = self._longest(preds)
-        least = min((self.least[i] for i in steps), default=()) + (j,)
-        if (-len(least), least) < (-len(self.best), self.best):
+        j = len(self.draws)
+        row = c.strict[:, v].tolist()
+        records = [r for u, r in self.by_class.items() if row[u]]
+        (minus, prefix), _ = min(records, default=((0, ()), None))  # minus = -len(prefix)
+        least = prefix + (j,)
+        steps = sorted(chain.from_iterable(ends for (m, _), ends in records if m == minus))
+        order = (minus - 1, least)
+        kept, ends = self.by_class.get(v, (order, []))
+        if order[0] < kept[0]:
+            ends = []
+        ends.append(j)
+        self.by_class[v] = (min(kept, order), ends)
+        self.by_rank[rank] = min(self.by_rank.get(rank, (order, v)), (order, v))
+        if order < (-len(self.best), self.best):
             self.best = least
         self.least.append(least)
         self.draws.append(draw)
         self.ranks.append(rank)
-        self._lengths.append(len(least))
         self.ids.append(v)
         self.steps.append(steps)
-        return preds
-
-    def _longest(self, ends: Sequence[int]) -> list:
-        """The draws among ``ends`` that end the longest chains."""
-        lengths = self._lengths
-        top = max([lengths[j] for j in ends], default=0)
-        return [j for j in ends if lengths[j] == top]
-
-    def best_chain(self, ends: Sequence[int]) -> tuple:
-        """Lexicographically least of the longest chains ending at one of
-        ``ends``; ``()`` when there is none."""
-        return min((self.least[j] for j in self._longest(ends)), default=())
 
     def count_longest(self) -> int:
         """How many longest chains there are, by the ``steps`` DP: linear
@@ -473,7 +480,7 @@ class ImprovementChains:
         for steps in self.steps:
             count.append(sum(count[i] for i in steps) if steps else 1)
         top = len(self.best)
-        return sum(n for n, length in zip(count, self._lengths) if length == top)
+        return sum(n for n, least in zip(count, self.least) if len(least) == top)
 
     def all_longest(self) -> list:
         """Every longest chain, sorted.
@@ -490,14 +497,14 @@ class ImprovementChains:
             shown = count if count <= cap else f"more than {cap}"  # may run to thousands of digits
             raise CapacityError(f"listing {shown} longest chains of length {top} exceeds cap {cap}",
                                 required=count * top, cap=cap)
-        on = [length == top for length in self._lengths]  # on[j]: j lies on a longest chain
+        on = [len(least) == top for least in self.least]  # on[j]: j lies on a longest chain
         nexts: list = [[] for _ in on]  # per draw, the next draws on those chains, descending
         for j in reversed(range(len(on))):
             if on[j]:
                 for i in self.steps[j]:
                     on[i] = True
                     nexts[i].append(j)
-        chains = [(j,) for j, length in enumerate(self._lengths) if on[j] and length == 1]
+        chains = [(j,) for j, least in enumerate(self.least) if on[j] and len(least) == 1]
         for _ in range(top - 1):
             chains = [c + (i,) for c in chains for i in reversed(nexts[c[-1]])]
         return chains

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import time
 
@@ -230,6 +231,12 @@ def test_certify(capsys):
     assert code == 1  # inadmissible input
 
 
+def test_certify_rejects_negative_epsilon(capsys):
+    code, out, err = run(capsys, ["certify", STAIRCASE, "0,1", "--epsilon", "-1"])
+    assert code == 1 and out == ""
+    assert err == "pareto-cat: error: epsilon must be non-negative, got -1\n"
+
+
 def test_interleave(capsys):
     code, doc, _ = run_json(capsys, ["interleave", STAIRCASE, "1,1", "0,1"])
     assert code == 0 and doc["distance"] == 1
@@ -311,3 +318,71 @@ def test_usage_errors_exit_2(capsys):
             main(command + ["--threads", "0"])
         assert e.value.code == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------- frozen output bytes
+
+# sha256 of each command's stdout, as printed before the chain walk kept
+# one record per class vector and per rank: any change to the stochastic
+# route's bytes shows here.
+STOCHASTIC_ARGS = {
+    "swarm": ["swarm", "--particles", "4", "--draws", "24", "--epsilon", "1"],
+    "particle": ["particle", "--draws", "40"],
+    "particle-exact": ["particle", "--draws", "40", "--exact"],
+}
+STOCHASTIC_DIGESTS = {
+    ("swarm", "chain3"): (
+        "0c97b7588b273ed1811d1916aaa98457104f8f36d126b55c45b0476af983caea",
+        "4a10d60fa4d76568bbb1e11d1abe22afb8691527b98631d44156028a72edf366",
+        "435c2b980f546ad9507d91101f74ad2db0fc6420e7efe63fb08ae0203c4a9aa1",
+    ),
+    ("particle", "chain3"): (
+        "0421b495810b2228599bfdbd29a5b3e411be69951414c940884d7b652363c79d",
+        "e8c07045c4fe1f508d6a7d101e869ccd3c15d1a930c171f07cc6fecf1bec78e9",
+        "6b30b75aa27e31d647290699a4beaa47f03792f4be413390617401e47c0a048a",
+    ),
+    ("particle-exact", "chain3"): (
+        "c99b103063e1332b5ba0185b33ebe5be8c6f71093f338d5141b596ec45f48878",
+        "edf3986646942f89aa45755f7059f34ffc4bb08c0c9508a2ec40f701c2180234",
+        "1ff8df305edf6f00d955f257f62b0e9df07a60bba04af296e657c39424793428",
+    ),
+    ("swarm", "cycle2"): (
+        "2a07302763ef26883c21e812237a447dfb5bf1fb2edadf1b0cbd5eaaefdc5323",
+        "4102df646920afa041d2314ad4b11c6f2806ff924aedff80afe480277bdae48d",
+        "44130809e322292795ae74fe4cf724f65bd42c5649b0177600ad1751d3fd7ff8",
+    ),
+    ("particle", "cycle2"): (
+        "27c751ece47a3f88ae2b2d592c386cc21e9fda64c0059a9fcc72e2c7bae8ae87",
+        "c128effe3d77c83c3f727d3d33a2486b64b330f37713ab97526ced5d0b8bd864",
+        "e1ee1ee2bf05638ec390b72d53099a53588fe5ed97a9130b50bf031dc666a0cf",
+    ),
+    ("particle-exact", "cycle2"): (
+        "317b2f5ffdf4928fb0a59f606d89c859efe5771a0618c227aea348a8a5d7c18e",
+        "e67fa11f9c855880aaf791256fe9b94abd19099f3bdd50aa32fd3b1637fda491",
+        "e3a4fdcbf1c5df96b714c9ed884d50937407f6e5bd44593043637118a44bbaec",
+    ),
+    ("swarm", "staircase"): (
+        "c2424cfc4bf2aeb667ad91f44d40040fbf9474f0de6fd7ed48ac2ba11c03f729",
+        "dd5ccd2a46fc2e321bb8e8ad3a915e01c68497812fa1e343df027bd904be0a6f",
+        "89de224cbcf2633b6b67151ffefe95f078cf5d3ec31c198e9b3a97af9411bafd",
+    ),
+    ("particle", "staircase"): (
+        "a69430c185291421f351be9e446782f31bc52d158d9620c19f29efff46ce1fd3",
+        "90f63c4ac659edf555e18ab7d66d1272bcca7f0d19c93f615d00244174ba583b",
+        "fd99e14882ba2b45db4050dca4c8f268604d96e5c194192873a03d25ff0c53c6",
+    ),
+    ("particle-exact", "staircase"): (
+        "84da41822877ccdc2fa6ec5442aaf9cc955a164887f82e22996f974505f5df3b",
+        "a08bac066e5124be6ea30cc569176d9537dde352d8d1f55d69f5497b40474390",
+        "6ce8e3ea27747a33521aae55209b57079fe40d18ff4f82400c64b979d2245816",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("command, name", sorted(STOCHASTIC_DIGESTS))
+def test_stochastic_route_bytes_are_frozen(capsys, command, name, seed):
+    cmd, *options = STOCHASTIC_ARGS[command]
+    code, out, _ = run(capsys, [cmd, str(pc.fixture_path(name)), *options, "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STOCHASTIC_DIGESTS[command, name][seed - 1]

@@ -70,6 +70,58 @@ def test_flag_witness_chains_are_improvement_paths(staircase):
             assert pc.minorizes(system, a, b, strict=True)
 
 
+def _scale_reversible(inst, x, y, eps):
+    """The ScaleObject route: in every objective, x's scaled image converts
+    into y's at every scale, reversibly after ``eps`` coarsening steps."""
+    for alpha in range(len(inst.objectives)):
+        a, b = inst.scaled_image(alpha, x), inst.scaled_image(alpha, y)
+        if not all(a.base.hom[a.values[s]][b.values[s]] and pc.epsilon_reversible(a, b, s, eps)
+                   for s in range(a.grid_len)):
+            return False
+    return True
+
+
+def _check_flag_witnesses(inst, report, eps):
+    """A particle flags its draw k exactly when some earlier draw of its
+    own is strictly improved on by draw k and reversible into it; the
+    witness is the longest, then least, chain ending at such a draw."""
+    system = inst.system
+    flags = {(f.particle, f.draw_index): f.witness for f in report.flagged}
+    for i, drawn in enumerate(report.positions):
+        ends = []  # per draw, the longest, then least, chain ending at it
+        for k, d in enumerate(drawn):
+            below = [a for a in range(k) if pc.minorizes(system, drawn[a], d, strict=True)]
+            ends.append(min((ends[a] for a in below), key=lambda c: (-len(c), c), default=())
+                        + (k,))
+            hits = [ends[a] for a in below if _scale_reversible(inst, drawn[a], d, eps)]
+            want = min(hits, key=lambda c: (-len(c), c), default=())
+            if want:
+                assert flags[(i, k)] == tuple((i, a) for a in want + (k,))
+            elif (i, k) in flags:  # flagged from another particle's chain tip
+                assert flags[(i, k)][0][0] != i
+
+
+@pytest.mark.parametrize("eps", [0, 1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_flag_witness_is_the_longest_then_least_reversible_chain(staircase, seed, eps):
+    report = pc.run_swarm(staircase, small(seed, draws=24, epsilon=eps))
+    _check_flag_witnesses(staircase, report, eps)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_flag_witnesses_on_three_level_chains(seed):
+    """chain3 with every system admissible and one constant scale row:
+    every strict improvement is reversible, and witnesses run up to
+    three draws long."""
+    doc = fixture_doc("chain3")
+    doc["valuations"][0]["goal"] = 0
+    doc["scale"]["valuations_scaled"] = [[[0, 0, 0]] * 16]
+    inst = pc.load_instance(doc)
+    report = pc.run_swarm(inst, small(seed, draws=24, epsilon=0))
+    assert any(len(f.witness) == 3 for f in report.flagged)
+    _check_flag_witnesses(inst, report, 0)
+
+
 def test_no_flags_when_scaled_conversions_diverge(cycle2):
     """Improvements exist but every scaled image pair diverges at the
     tails, so no reversibility witness can arise at any epsilon."""
@@ -140,6 +192,8 @@ def test_certify_preconditions(staircase, cycle2):
         pc.certify_neighborhood(inst, (1, 1), 1)
     # empty frontier: nothing can certify at any radius
     assert not pc.certify_neighborhood(cycle2, (1,), 3)
+    with pytest.raises(pc.PreconditionError, match="epsilon must be non-negative"):
+        pc.certify_neighborhood(staircase, (0, 1), -1)
 
 
 def test_sampling_error_propagates():
@@ -204,17 +258,13 @@ def test_scale_tables_match_scale_objects(inst, eps, data):
     tables = _ScaleTables(inst, eps)
     alphas = range(len(inst.objectives))
 
-    def reversible(y, z):
-        return all(y.base.hom[y.values[s]][z.values[s]] and pc.epsilon_reversible(y, z, s, eps)
-                   for s in range(y.grid_len))
-
     def images(m):
         return [(inst.scaled_image(a, systems[x]), inst.scaled_image(a, systems[m]))
                 for a in alphas]
 
     near = tables.near(x, ranks)
     for m in ranks:
-        assert tables.reversible(x, m) == all(reversible(y, z) for y, z in images(m))
+        assert tables.reversible(x, m) == _scale_reversible(inst, systems[x], systems[m], eps)
         assert near[m] == all(pc.interleaving_distance(y, z) <= eps for y, z in images(m))
 
 

@@ -237,10 +237,43 @@ def _brute_longest_chains(system, draws):
     return []
 
 
+def _brute_chain_ends(system, draws):
+    """Per draw, the longest, then least, improving index subsequence
+    ending at it, by trying all of them."""
+    better = [[pc.minorizes(system, a, b, strict=True) for b in draws] for a in draws]
+    ends = [()] * len(draws)
+    for length in range(1, len(draws) + 1):
+        for c in itertools.combinations(range(len(draws)), length):
+            if len(c) > len(ends[c[-1]]) and all(better[a][b] for a, b in zip(c, c[1:])):
+                ends[c[-1]] = c
+    return ends
+
+
 def _check_walk(system, draws):
     chains = ImprovementChains(system)
-    for d in draws:
+    ends = _brute_chain_ends(system, draws)
+    ids = system.image_class_vectors.ids
+    for j, d in enumerate(draws):
         chains.add(d)
+        assert chains.least == ends[: j + 1]
+        # per class id and per rank: the longest, then least, chain ending
+        # at a draw of it, and the draws that end one
+        by_class, by_rank = {}, {}
+        for e in range(j + 1):
+            r = system.rank(draws[e])
+            for table, key in ((by_class, int(ids[r])), (by_rank, r)):
+                table.setdefault(key, []).append(e)
+        for v, drawn in by_class.items():
+            top = max(len(ends[e]) for e in drawn)
+            tops = [e for e in drawn if len(ends[e]) == top]
+            least = min(ends[e] for e in tops)
+            assert chains.by_class[v] == ((-top, least), tops)
+        assert chains.by_class.keys() == by_class.keys()
+        for r, drawn in by_rank.items():
+            top = max(len(ends[e]) for e in drawn)
+            least = min(ends[e] for e in drawn if len(ends[e]) == top)
+            assert chains.by_rank[r] == ((-top, least), int(ids[r]))
+        assert chains.by_rank.keys() == by_rank.keys()
     listed = chains.all_longest()
     assert listed == _brute_longest_chains(system, draws)
     assert chains.count_longest() == len(listed)
@@ -261,6 +294,30 @@ def test_chain_count_and_listing_on_improvement_cycles(cycle2, draws):
     """cycle2's two admissible objects strictly improve on each other, so
     chains branch at every alternation."""
     _check_walk(cycle2.system, draws)
+
+
+def test_walk_records_keep_the_least_chain_of_a_later_draw():
+    """Two objectives whose improvements cross: the second draw of
+    object 4 ends a longest chain lexicographically below the first
+    draw's, so its class and rank records must take it."""
+    eye = [[int(a == b) for b in range(5)] for a in range(5)]
+    levels = {"objects": 4, "hom": [[int(a >= b) for b in range(4)] for a in range(4)],
+              "iso_classes": [[0], [1], [2], [3]]}
+    doc = {"category": {"objects": 5, "hom": eye, "iso_classes": [[i] for i in range(5)],
+                        "unit": 0, "tensor": [[max(a, b) for b in range(5)] for a in range(5)]},
+           "system_size": 1,
+           "valuations": [{"target": levels, "goal": 0, "map": {"kind": "table", "entries": e}}
+                          for e in ([1, 3, 2, 0, 0], [3, 3, 2, 3, 2])],
+           "distribution": {"weights": ["1/5"] * 5}}
+    system = pc.load_instance(doc).system
+    draws = [(0,), (1,), (2,), (4,), (3,), (4,)]
+    _check_walk(system, draws)
+    chains = ImprovementChains(system)
+    for d in draws:
+        chains.add(d)
+    assert chains.least[3] == (1, 2, 3) and chains.least[5] == (0, 4, 5)
+    assert chains.by_class[chains.ids[5]] == ((-3, (0, 4, 5)), [3, 5])
+    assert chains.by_rank[system.rank((4,))] == ((-3, (0, 4, 5)), chains.ids[5])
 
 
 def test_chain_listing_refuses_beyond_cap(cycle2):
