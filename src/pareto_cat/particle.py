@@ -312,14 +312,16 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     computed once per distinct vector. The trace records whether the
     coarse lower bound ``c_n^n >= (1-l_0)^n`` held and whether jump
     probabilities were non-increasing (within ``ESTIMATE_TOL``) along
-    every longest improvement chain, by a DP over the walk's
-    predecessors: a longest chain ending at draw j extends one ending at
-    a predecessor one shorter. Neither is asserted here, since both can
-    legitimately fail (the former whenever ``l_0 < 1/2``, the latter on
-    instances with improvement cycles).
+    every longest improvement chain, in one pass over the walk's
+    (class id, length) buckets: that cost does not grow with the number
+    of chains. Neither is asserted here, since both can legitimately
+    fail (the former whenever ``l_0 < 1/2``, the latter on instances
+    with improvement cycles).
     """
     if n < 0:
         raise PreconditionError("number of steps must be >= 0")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     gen = np.random.default_rng(np.random.SeedSequence(seed))
     counter = [0, 0]
     buffer: list = []
@@ -332,11 +334,11 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     coeffs = evolve_coefficients(jump_probs[:-1] if n else ())
     l0 = float(jump_probs[0])
     rough_ok = float(coeffs[-1]) >= (1 - l0) ** n - ESTIMATE_TOL
-    ok: list = []  # ok[j]: every longest chain ending at draw j is non-increasing
-    for j, steps in enumerate(chains.steps):
-        ok.append(all(ok[i] and float(jump_probs[j]) <= float(jump_probs[i]) + ESTIMATE_TOL
-                      for i in steps))
-    mono = all(o for o, c in zip(ok, chains.least) if len(c) == len(chains.best))
+    ok: dict = {}  # per bucket: every longest chain ending at a draw of it is non-increasing
+    for (v, m), below in chains.buckets():
+        ok[v, m] = ok.get((v, m), True) and all(
+            ok[k] and float(by_class[v]) <= float(by_class[k[0]]) + ESTIMATE_TOL for k in below)
+    mono = all(o for (_, m), o in ok.items() if m == len(chains.best))
     return ParticleTrace(
         draws=tuple(chains.draws),
         jump_probs=jump_probs,

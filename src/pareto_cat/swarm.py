@@ -45,6 +45,8 @@ class SwarmConfig:
             raise PreconditionError("need at least one draw round")
         if self.epsilon < 0:
             raise PreconditionError(f"epsilon must be non-negative, got {self.epsilon}")
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ between the distinct image-class vectors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -418,20 +418,18 @@ class ImprovementChains:
     """The longest-chain DP over a growing sequence of draws.
 
     A chain is an increasing tuple of draw indices, each draw strictly
-    improving on the one before. ``least[j]`` is the lexicographically
+    improving on the one before; its order is ``(-len(chain), chain)``,
+    smallest for the longest, then least, chain. ``least[j]`` is the
     least of the longest chains ending at draw j; ``best`` is the least
-    of all of them. ``steps[j]`` lists the earlier draws that draw j
-    strictly improves on and that end a chain one shorter than
-    ``least[j]``: every longest chain ending at draw j extends one ending
-    at one of them.
-
-    A chain's order is ``(-len(chain), chain)``: the longest, then least,
-    chain has the smallest. Strict improvement reads only class-vector
-    ids, so the DP keeps one record per id v drawn instead of a history:
-    ``by_class[v] = (order, ends)``, the least order of a chain ending at
-    a draw of class v and the draws that end one that long. Reversibility
-    reads only ranks: ``by_rank[r] = (order, v)`` holds the least order
-    of a chain ending at a draw of rank r, and r's class id.
+    of all of them. Strict improvement reads only class-vector ids, so
+    the DP keeps one record per id v drawn instead of a history:
+    ``by_class[v]`` is the least order of a chain ending at a draw of
+    class v. Reversibility reads only ranks: ``by_rank[r] = (order, v)``
+    holds the least order of a chain ending at a draw of rank r, and r's
+    class id. A longest chain ending at a draw extends one ending at an
+    earlier draw, one shorter, that it strictly improves on: a question
+    about every longest chain is one pass over :meth:`buckets`, linear
+    in draws whatever the number of chains.
     """
 
     def __init__(self, system: ValuationSystem):
@@ -439,31 +437,21 @@ class ImprovementChains:
         self.draws: list = []
         self.ranks: list = []   # rank per draw
         self.ids: list = []     # class-vector id per draw
-        self.steps: list = []
         self.least: list = []
         self.best: tuple = ()
         self.by_class: dict = {}
         self.by_rank: dict = {}
 
     def add(self, draw: Sequence[int]) -> None:
-        """Append ``draw``, reading the records of the class vectors it
-        strictly improves on. A later draw of a class sees every earlier
-        one's predecessors, so its chains are never shorter."""
+        """Append ``draw``, reading the records of the classes it improves on."""
         c = self.system.image_class_vectors
         rank = self.system.rank(draw)
         v = int(c.ids[rank])
-        j = len(self.draws)
         row = c.strict[:, v].tolist()
-        records = [r for u, r in self.by_class.items() if row[u]]
-        (minus, prefix), _ = min(records, default=((0, ()), None))  # minus = -len(prefix)
-        least = prefix + (j,)
-        steps = sorted(chain.from_iterable(ends for (m, _), ends in records if m == minus))
+        minus, prefix = min((o for u, o in self.by_class.items() if row[u]), default=(0, ()))
+        least = prefix + (len(self.draws),)
         order = (minus - 1, least)
-        kept, ends = self.by_class.get(v, (order, []))
-        if order[0] < kept[0]:
-            ends = []
-        ends.append(j)
-        self.by_class[v] = (min(kept, order), ends)
+        self.by_class[v] = min(self.by_class.get(v, order), order)
         self.by_rank[rank] = min(self.by_rank.get(rank, (order, v)), (order, v))
         if order < (-len(self.best), self.best):
             self.best = least
@@ -471,25 +459,34 @@ class ImprovementChains:
         self.draws.append(draw)
         self.ranks.append(rank)
         self.ids.append(v)
-        self.steps.append(steps)
+
+    def buckets(self):
+        """Per draw in order, its ``(class id, length)`` bucket and the
+        buckets, filled by earlier draws, that its longest chains extend:
+        one shorter, of the classes it strictly improves on."""
+        strict = self.system.image_class_vectors.strict
+        filled: dict = {}  # length -> class ids drawn with it
+        for v, least in zip(self.ids, self.least):
+            n = len(least)
+            yield (v, n), [(u, n - 1) for u in filled.get(n - 1, ()) if strict[u, v]]
+            filled.setdefault(n, set()).add(v)
 
     def count_longest(self) -> int:
-        """How many longest chains there are, by the ``steps`` DP: linear
-        in its edges, without listing a chain."""
-        count: list = []
-        for steps in self.steps:
-            count.append(sum(count[i] for i in steps) if steps else 1)
+        """How many longest chains there are, summed per bucket, listing none."""
+        count: dict = {}
+        for key, below in self.buckets():
+            count[key] = count.get(key, 0) + (sum(count[k] for k in below) or 1)
         top = len(self.best)
-        return sum(n for n, least in zip(count, self.least) if len(least) == top)
+        return sum(m for (_, n), m in count.items() if n == top)
 
     def all_longest(self) -> list:
         """Every longest chain, sorted.
 
         Raises :class:`CapacityError` before listing any when the chains
         hold more draw indices than the system's cap. The listing extends
-        chain prefixes one draw at a time, in index order, only by draws
-        that lie on a longest chain: it comes out sorted, and no level
-        holds more prefixes than there are longest chains.
+        chains leftwards from the draws of top length, by earlier draws
+        one shorter that they strictly improve on; every partial chain
+        completes, so no level holds more chains than the count.
         """
         top, cap = len(self.best), self.system.cap
         count = self.count_longest()
@@ -497,17 +494,16 @@ class ImprovementChains:
             shown = count if count <= cap else f"more than {cap}"  # may run to thousands of digits
             raise CapacityError(f"listing {shown} longest chains of length {top} exceeds cap {cap}",
                                 required=count * top, cap=cap)
-        on = [len(least) == top for least in self.least]  # on[j]: j lies on a longest chain
-        nexts: list = [[] for _ in on]  # per draw, the next draws on those chains, descending
-        for j in reversed(range(len(on))):
-            if on[j]:
-                for i in self.steps[j]:
-                    on[i] = True
-                    nexts[i].append(j)
-        chains = [(j,) for j, least in enumerate(self.least) if on[j] and len(least) == 1]
-        for _ in range(top - 1):
-            chains = [c + (i,) for c in chains for i in reversed(nexts[c[-1]])]
-        return chains
+        ids, strict = self.ids, self.system.image_class_vectors.strict
+        at: dict = {}  # length -> class id -> its draws that long, ascending
+        for j, (v, least) in enumerate(zip(ids, self.least)):
+            at.setdefault(len(least), {}).setdefault(v, []).append(j)
+        chains = [(j,) for js in at.get(top, {}).values() for j in js]
+        for n in reversed(range(1, top)):
+            below = {v: [js for u, js in at[n].items() if strict[u, v]] for v in at[n + 1]}
+            chains = [(i,) + c for c in chains for js in below[ids[c[0]]]
+                      for i in js[:bisect_left(js, c[0])]]
+        return sorted(chains)
 
 
 def longest_strict_chains(system: ValuationSystem, draws: Sequence[Sequence[int]]) -> list:

@@ -55,22 +55,25 @@ def brute_frontier(doc):
             for a, v in enumerate(vals)
         )
 
-    def strictly_improves(t, u):
-        some_noniso = False
-        for a, v in enumerate(vals):
-            x, y = image_of(doc, a, t), image_of(doc, a, u)
-            if not v["target"]["hom"][x][y]:
-                return False
-            if class_of(v["target"]["iso_classes"], x) != class_of(
-                v["target"]["iso_classes"], y
-            ):
-                some_noniso = True
-        return some_noniso
-
     adm = [t for t in tuples if admissible(t)]
     return frozenset(
-        t for t in adm if not any(strictly_improves(t, u) for u in adm if u != t)
+        t for t in adm if not any(strictly_improves(doc, t, u) for u in adm if u != t)
     )
+
+
+def strictly_improves(doc, t, u):
+    """Whether u strictly improves on t: an arrow from t's image to u's
+    in every objective, a non-iso one in some."""
+    some_noniso = False
+    for a, v in enumerate(doc["valuations"]):
+        x, y = image_of(doc, a, t), image_of(doc, a, u)
+        if not v["target"]["hom"][x][y]:
+            return False
+        if class_of(v["target"]["iso_classes"], x) != class_of(
+            v["target"]["iso_classes"], y
+        ):
+            some_noniso = True
+    return some_noniso
 
 
 def brute_strict_improvers(doc, phi):
@@ -85,24 +88,8 @@ def brute_strict_improvers(doc, phi):
             for a, v in enumerate(vals)
         )
 
-    out = []
-    for u in product(range(k), repeat=n):
-        if not admissible(u):
-            continue
-        some_noniso = False
-        ok = True
-        for a, v in enumerate(vals):
-            x, y = image_of(doc, a, phi), image_of(doc, a, u)
-            if not v["target"]["hom"][x][y]:
-                ok = False
-                break
-            if class_of(v["target"]["iso_classes"], x) != class_of(
-                v["target"]["iso_classes"], y
-            ):
-                some_noniso = True
-        if ok and some_noniso:
-            out.append(u)
-    return out
+    return [u for u in product(range(k), repeat=n)
+            if admissible(u) and strictly_improves(doc, phi, u)]
 
 
 def brute_mass(doc, phi):
@@ -115,6 +102,30 @@ def brute_mass(doc, phi):
             w *= weights[x]
         total += w
     return total
+
+
+def chain_walk(doc, draws, tol=1e-12):
+    """Per draw of a walk: the length of the longest strictly improving
+    chain of draws ending at it, how many chains that long end there
+    (Python ints), and whether strict-improvement masses are
+    non-increasing (within ``tol``) along every one of them; last, the
+    full draw x draw strict-improvement matrix the DP runs over."""
+    distinct = sorted(set(draws))
+    rel = np.array([[strictly_improves(doc, t, u) for u in distinct] for t in distinct])
+    at = np.array([distinct.index(d) for d in draws])
+    strict = np.triu(rel[at[:, None], at[None, :]], k=1)  # [i, j]: draw j improves on draw i
+    mass = np.array([float(brute_mass(doc, t)) for t in distinct])[at]
+    length = np.zeros(len(draws), dtype=int)
+    count = np.zeros(len(draws), dtype=object)
+    mono = np.ones(len(draws), dtype=bool)
+    for j in range(len(draws)):
+        below = np.flatnonzero(strict[:j, j])
+        top = length[below].max(initial=0)
+        pred = below[length[below] == top]
+        length[j] = top + 1
+        count[j] = count[pred].sum() if top else 1
+        mono[j] = np.all(mono[pred] & (mass[j] <= mass[pred] + tol))
+    return length, count, mono, strict
 
 
 def jump_patterns(n):

@@ -237,6 +237,16 @@ def test_certify_rejects_negative_epsilon(capsys):
     assert err == "pareto-cat: error: epsilon must be non-negative, got -1\n"
 
 
+
+@pytest.mark.parametrize("argv, seed", [
+    (["particle", STAIRCASE, "--draws", "2"], "-1"),
+    (["swarm", STAIRCASE, "--particles", "1", "--draws", "2"], "-3")])
+def test_negative_seed_is_one_error_line(capsys, argv, seed):
+    code, out, err = run(capsys, argv + ["--seed", seed])
+    assert code == 1 and out == ""
+    assert err == f"pareto-cat: error: seed must be non-negative, got {seed}\n"
+
+
 def test_interleave(capsys):
     code, doc, _ = run_json(capsys, ["interleave", STAIRCASE, "1,1", "0,1"])
     assert code == 0 and doc["distance"] == 1

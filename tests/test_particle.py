@@ -380,6 +380,12 @@ def test_induced_system_morphisms_validate(staircase):
         assert msgs == []
 
 
+
+def test_negative_seed_is_refused(staircase):
+    with pytest.raises(pc.PreconditionError, match="seed must be non-negative, got -1"):
+        pc.run_particle(staircase.system, staircase.distribution, 2, seed=-1)
+
+
 def test_induced_system_requires_strict_chain(staircase):
     bad = pc.ParticleTrace(
         draws=((0, 1), (1, 1)),  # wrong direction

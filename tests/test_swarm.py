@@ -29,6 +29,12 @@ def test_config_validation():
         pc.SwarmConfig(particles=2, draws=5, epsilon=-1, seed=0).validate()
 
 
+
+def test_negative_seed_is_refused(staircase):
+    with pytest.raises(pc.PreconditionError, match="seed must be non-negative, got -1"):
+        pc.run_swarm(staircase, pc.SwarmConfig(particles=1, draws=2, epsilon=1, seed=-1))
+
+
 def test_swarm_needs_scale():
     doc = fixture_doc("chain3")
     doc.pop("scale")

@@ -257,7 +257,7 @@ def _check_walk(system, draws):
         chains.add(d)
         assert chains.least == ends[: j + 1]
         # per class id and per rank: the longest, then least, chain ending
-        # at a draw of it, and the draws that end one
+        # at a draw of it
         by_class, by_rank = {}, {}
         for e in range(j + 1):
             r = system.rank(draws[e])
@@ -265,9 +265,8 @@ def _check_walk(system, draws):
                 table.setdefault(key, []).append(e)
         for v, drawn in by_class.items():
             top = max(len(ends[e]) for e in drawn)
-            tops = [e for e in drawn if len(ends[e]) == top]
-            least = min(ends[e] for e in tops)
-            assert chains.by_class[v] == ((-top, least), tops)
+            least = min(ends[e] for e in drawn if len(ends[e]) == top)
+            assert chains.by_class[v] == (-top, least)
         assert chains.by_class.keys() == by_class.keys()
         for r, drawn in by_rank.items():
             top = max(len(ends[e]) for e in drawn)
@@ -316,8 +315,34 @@ def test_walk_records_keep_the_least_chain_of_a_later_draw():
     for d in draws:
         chains.add(d)
     assert chains.least[3] == (1, 2, 3) and chains.least[5] == (0, 4, 5)
-    assert chains.by_class[chains.ids[5]] == ((-3, (0, 4, 5)), [3, 5])
+    assert chains.by_class[chains.ids[5]] == (-3, (0, 4, 5))
     assert chains.by_rank[system.rank((4,))] == ((-3, (0, 4, 5)), chains.ids[5])
+
+
+
+@pytest.mark.parametrize("name, draws, seed", [
+    ("chain3", 200, 1), ("chain3", 2000, 2), ("staircase", 200, 3), ("staircase", 2000, 4),
+    ("cycle2", 200, 5), ("cycle2", 2000, 6)])
+def test_chain_walk_matches_the_matrix_dp_on_long_walks(all_instances, name, draws, seed):
+    """Seeded particle walks far beyond brute-force reach, against the
+    draw x draw DP of tests/oracles.py. cycle2's longest chains number
+    hundreds of digits, so only its counts are compared."""
+    inst = all_instances[name]
+    trace = pc.run_particle(inst.system, inst.distribution, draws - 1, seed)
+    length, count, mono, strict = oracles.chain_walk(fixture_doc(name), trace.draws)
+    chains = ImprovementChains(inst.system)
+    for d in trace.draws:
+        chains.add(d)
+    top = len(chains.best)
+    assert [len(c) for c in chains.least] == length.tolist()
+    assert chains.count_longest() == sum(count[length == top])
+    if name == "cycle2":
+        return
+    assert trace.chains_monotone == mono[length == top].all()
+    listed = chains.all_longest()
+    assert len(listed) == chains.count_longest() and listed == sorted(set(listed))
+    rows = np.array(listed)
+    assert rows.shape[1] == top and strict[rows[:, :-1], rows[:, 1:]].all()
 
 
 def test_chain_listing_refuses_beyond_cap(cycle2):
