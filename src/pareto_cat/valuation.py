@@ -106,6 +106,18 @@ class ObjectDistribution:
         return self.mass(np.array([values], dtype=np.intp).reshape(1, len(values)), exact)
 
 
+def _dense(key: np.ndarray, size: int) -> tuple:
+    """``key``'s values (all below ``size``) renumbered 0.. in ascending
+    order, and how many distinct values there are: by a presence table
+    over 0..size-1 when that is no longer than ``key``, else by sorting."""
+    if size > len(key):
+        values, ids = np.unique(key, return_inverse=True)
+        return ids, len(values)
+    present = np.zeros(size, dtype=bool)
+    present[key] = True
+    return (np.cumsum(present) - 1)[key], int(np.count_nonzero(present))
+
+
 class ClassVectors(NamedTuple):
     """A system's image-class vector is the tuple of target iso classes of
     its images. ``ids[rank]`` numbers the distinct vectors 0..V-1, and
@@ -165,7 +177,7 @@ class ValuationSystem:
         self._guard()
         mask = np.ones(self.functor_count, dtype=bool)
         for obj, table in zip(self.objectives, self.image_tables):
-            mask &= np.asarray(obj.target.hom)[table, obj.goal]
+            mask &= np.asarray(obj.target.hom)[:, obj.goal][table]
         return mask
 
     @cached_property
@@ -174,18 +186,25 @@ class ValuationSystem:
 
     @cached_property
     def image_class_vectors(self) -> ClassVectors:
-        """Class-vector ids of every rank, and the arrows between vectors,
-        read off the images of the first rank with each vector."""
+        """Class-vector ids of every rank, in lexicographic order of the
+        vectors, and the arrows between vectors, read off the images of the
+        first rank with each vector. Ids are numbered one objective (of m
+        classes) at a time, by the key ``id * m + class``, so no key reaches
+        (ids so far) x m, however many objectives there are."""
         self._guard()
-        code = np.zeros(self.functor_count, dtype=np.int64)
+        ids, count = np.zeros(self.functor_count, dtype=np.intp), 1
         for obj, table in zip(self.objectives, self.image_tables):
-            code = code * len(obj.target.iso_classes) + np.asarray(obj.target.iso_class_of)[table]
-        _, first, ids = np.unique(code, return_index=True, return_inverse=True)
-        arrows = np.ones((len(first), len(first)), dtype=bool)
+            m = len(obj.target.iso_classes)
+            ids *= m
+            ids += np.asarray(obj.target.iso_class_of)[table]
+            ids, count = _dense(ids, count * m)
+        first = np.full(count, self.functor_count)
+        np.minimum.at(first, ids, np.arange(self.functor_count))
+        arrows = np.ones((count, count), dtype=bool)
         for obj, table in zip(self.objectives, self.image_tables):
             images = table[first]
-            arrows &= np.asarray(obj.target.hom)[np.ix_(images, images)]
-        return ClassVectors(ids, arrows, arrows & ~np.eye(len(first), dtype=bool))
+            arrows &= np.asarray(obj.target.hom)[images][:, images]
+        return ClassVectors(ids, arrows, arrows & ~np.eye(count, dtype=bool))
 
     @cached_property
     def iso_representatives(self) -> np.ndarray:
@@ -366,9 +385,10 @@ def _kept_ranks(system: ValuationSystem, terminal) -> np.ndarray:
     admissible vectors."""
     c = system.image_class_vectors
     mask = system.admissible_mask
-    present = np.unique(c.ids[mask])
-    kept = np.isin(c.ids, present[terminal(c.strict[np.ix_(present, present)])])
-    return np.flatnonzero(mask & kept)
+    present = np.flatnonzero(np.bincount(c.ids[mask], minlength=len(c.arrows)))
+    kept = np.zeros(len(c.arrows), dtype=bool)
+    kept[present[terminal(c.strict[present][:, present])]] = True
+    return np.flatnonzero(mask & kept[c.ids])
 
 
 def frontier_ranks(system: ValuationSystem) -> np.ndarray:

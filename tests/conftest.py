@@ -40,6 +40,23 @@ def all_instances(chain3, cycle2, staircase):
     return {"chain3": chain3, "cycle2": cycle2, "staircase": staircase}
 
 
+def many_objectives_doc(count: int) -> dict:
+    """Two systems, (0,) and (1,), and ``count`` table objectives into the
+    chain 0 -> 1 with goal 1. Objective 0 sends the systems to 0 and 1;
+    every other one sends both to 0. So (1,) strictly improves on (0,),
+    and the frontier is (1,) alone, however many objectives there are."""
+    chain = {"objects": 2, "hom": [[1, 1], [0, 1]], "iso_classes": [[0], [1]]}
+    return {
+        "category": {"objects": 2, "hom": [[1, 0], [0, 1]], "iso_classes": [[0], [1]],
+                     "unit": 0, "tensor": [[0, 1], [1, 1]]},
+        "system_size": 1,
+        "valuations": [{"target": chain, "goal": 1,
+                        "map": {"kind": "table", "entries": [0, int(a == 0)]}}
+                       for a in range(count)],
+        "distribution": {"weights": [0.5, 0.5]},
+    }
+
+
 # ---------------------------------------------------------------- strategies
 
 def level_category(draw, size, max_level=None):

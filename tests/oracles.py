@@ -104,6 +104,31 @@ def brute_mass(doc, phi):
     return total
 
 
+def class_vector_numbering(doc):
+    """Image-class vectors numbered by ``np.unique`` over the stacked
+    per-objective class rows, with no packed integer key. Returns, per
+    rank, its vector's id (ids in lexicographic order of the vectors);
+    per id, its first rank; the arrow and strict-arrow matrices between
+    vectors, read off those first ranks' images; and the ascending ranks
+    of the admissible systems no admissible system strictly improves on."""
+    k, n = doc["category"]["objects"], doc["system_size"]
+    tuples = list(product(range(k), repeat=n))
+    vals = doc["valuations"]
+    images = [[image_of(doc, a, t) for t in tuples] for a in range(len(vals))]
+    rows = np.array([[class_of(v["target"]["iso_classes"], x) for x in im]
+                     for v, im in zip(vals, images)])
+    _, first, ids = np.unique(rows.T, axis=0, return_index=True, return_inverse=True)
+    ids = ids.reshape(-1)
+    arrows = np.array([[all(v["target"]["hom"][im[f]][im[g]] for v, im in zip(vals, images))
+                        for g in first] for f in first], dtype=bool)
+    strict = arrows & ~np.eye(len(first), dtype=bool)
+    adm = [all(v["target"]["hom"][im[r]][v["goal"]] for v, im in zip(vals, images))
+           for r in range(len(tuples))]
+    frontier = [r for r in range(len(tuples)) if adm[r] and not any(
+        adm[q] and strict[ids[r], ids[q]] for q in range(len(tuples)))]
+    return ids, first, arrows, strict, np.array(frontier, dtype=int)
+
+
 def chain_walk(doc, draws, tol=1e-12):
     """Per draw of a walk: the length of the longest strictly improving
     chain of draws ending at it, how many chains that long end there

@@ -8,7 +8,7 @@ import pytest
 import pareto_cat as pc
 from pareto_cat.cli import main
 
-from conftest import fixture_doc
+from conftest import fixture_doc, many_objectives_doc
 
 CHAIN3 = str(pc.fixture_path("chain3"))
 CYCLE2 = str(pc.fixture_path("cycle2"))
@@ -104,6 +104,19 @@ def test_lambda_float_and_exact(capsys):
     assert doc["mass"] == "8/25"
     code, doc, _ = run_json(capsys, ["lambda", CHAIN3, "0,1"])
     assert doc["mass"] == 0 and doc["on_frontier"] is True
+
+
+@pytest.mark.parametrize("count", [64, 65])
+def test_frontier_and_lambda_past_64_objectives(tmp_path, capsys, count):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(many_objectives_doc(count)))
+    code, doc, _ = run_json(capsys, ["frontier", str(path)])
+    assert code == 0
+    assert doc["frontier_count"] == 1
+    assert [g["members"] for g in doc["groups"]] == [[[1]]]
+    code, doc, _ = run_json(capsys, ["lambda", str(path), "0", "--exact"])
+    assert code == 0
+    assert doc == {"system": [0], "mass": "1/2", "on_frontier": False}
 
 
 def test_lambda_rejects_bad_system(capsys):

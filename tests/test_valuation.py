@@ -1,17 +1,18 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
-from pareto_cat.valuation import ImprovementChains
+from pareto_cat.valuation import ImprovementChains, frontier_ranks
 
 import oracles
-from conftest import fixture_doc, valuation_systems
+from conftest import fixture_doc, level_category, many_objectives_doc, valuation_systems
 
 
 # --- frozen oracle values (tests/oracles.py run against the fixtures) ---
@@ -198,6 +199,69 @@ def test_strict_table_matches_oracle(system):
         if pc.admissible(system, phi):
             assert pc.strict_minorization_set(system, phi) == \
                 oracles.brute_strict_improvers(doc, phi)
+
+
+@st.composite
+def table_objectives(draw):
+    """A system of up to 4^3 ranks with one to four table objectives of
+    free images into targets of up to six iso classes."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cat, _ = level_category(draw, k)
+    objectives = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 6))
+        target, _ = level_category(draw, size, max_level=draw(st.integers(0, 5)))
+        entries = tuple(draw(st.integers(0, size - 1)) for _ in range(k ** n))
+        objectives.append(pc.Objective(target=target, goal=draw(st.integers(0, size - 1)),
+                                       kind="table", entries=entries))
+    return pc.ValuationSystem(cat=cat, n=n, objectives=tuple(objectives))
+
+
+def _chain_target(size):
+    return pc.TargetCategory(size, [[a >= b for b in range(size)] for a in range(size)],
+                             [[a] for a in range(size)])
+
+
+# 4 ranks: the first objective's 2 classes are numbered by counting, and
+# the second's key range, 2 ids x 3 classes, exceeds the 4 ranks
+TWO_STEP = pc.ValuationSystem(
+    cat=pc.ResourceCategory(2, [[1, 0], [0, 1]], [[0], [1]], 0, [[0, 1], [1, 1]]), n=2,
+    objectives=(pc.Objective(target=_chain_target(2), goal=0, kind="table", entries=(0, 1, 1, 0)),
+                pc.Objective(target=_chain_target(3), goal=0, kind="table", entries=(2, 0, 1, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_objectives())
+@example(TWO_STEP)
+def test_class_vector_numbering_matches_oracle(system):
+    """Ids, first ranks, arrows, strict arrows and the frontier equal a
+    numbering by np.unique over the stacked class rows."""
+    k = system.cat.size
+    doc = pc.emit_instance(pc.Instance(cat=system.cat, n=system.n,
+                                       objectives=system.objectives,
+                                       distribution=pc.ObjectDistribution([f"1/{k}"] * k)))
+    ids, first, arrows, strict, frontier = oracles.class_vector_numbering(doc)
+    c = system.image_class_vectors
+    assert np.array_equal(c.ids, ids)
+    assert [np.flatnonzero(c.ids == v)[0] for v in range(len(c.arrows))] == first.tolist()
+    assert np.array_equal(c.arrows, arrows)
+    assert np.array_equal(c.strict, strict)
+    assert np.array_equal(frontier_ranks(system), frontier)
+
+
+@pytest.mark.parametrize("count", [64, 65])
+def test_class_vectors_are_exact_past_64_objectives(tmp_path, count):
+    """A product of class counts past 2^64 neither wraps nor merges the
+    two systems' vectors."""
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(many_objectives_doc(count)))
+    inst = pc.load_instance(path)
+    s = inst.system
+    assert s.image_class_vectors.ids.tolist() == [0, 1]
+    assert pc.minorizes(s, (0,), (1,), strict=True)
+    assert not pc.minorizes(s, (1,), (0,))
+    assert pc.pareto_frontier(s).member_set == {(1,)}
+    assert pc.minorization_mass(s, inst.distribution, (0,), exact=True) == Fraction(1, 2)
 
 
 def test_prime_admissibility_thread_independent(staircase):
