@@ -41,48 +41,99 @@ def _check_probs(lambdas: Sequence) -> list:
     return ls
 
 
+def _numerators(ls: list) -> tuple:
+    """With ``l_k = a_k / q`` over the common denominator q of the
+    fractions ``ls``: q, the a_k, and the integers ``N_0..N_n`` with
+    ``c_n^n = N_n / q^n``, where ``N_n = sum_k a_k (q - a_k)^(n-1-k) N_k``.
+
+    That sum is kept as one running integer per distinct a: each step
+    multiplies every running sum by its ``q - a`` and adds the newest
+    term to its own, so a step costs O(distinct a) big-int operations.
+    """
+    q = math.lcm(*(l.denominator for l in ls))
+    a = [l.numerator * (q // l.denominator) for l in ls]
+    sums = dict.fromkeys(a, 0)  # per a: sum of a (q - a)^(n-1-k) N_k over k < n with a_k = a
+    nums = [1]
+    for ak in a:
+        for b in sums:
+            sums[b] *= q - b
+        sums[ak] += ak * nums[-1]
+        nums.append(sum(sums.values()))
+    return q, a, nums
+
+
+def _float_recursion(ls: list) -> tuple:
+    """The diagonal ``c_0^0..c_n^n`` and the stale entries
+    ``c_k^k (1 - l_k)^(n-k)``, k < n, in doubles, bit for bit as the
+    term-by-term loop ``acc += l_k * (1 - l_k) ** (n-1-k) * c_k^k`` makes
+    them.
+
+    ``math.pow(1 - v, e)`` (the libm call behind ``float ** int``; numpy's
+    ``power`` differs in the last bit) is tabulated once per distinct
+    value v. A row of the recursion is then one gather and the loop's two
+    multiplies, summed by the sequential ``np.add.accumulate`` from a
+    leading 0.0, as the loop's sum starts from 0 (so a ``-0.0`` term adds
+    up to ``0.0``). Memory is O(n x distinct values).
+    """
+    n = len(ls)
+    lam = np.array(ls, dtype=float)
+    values, ids = np.unique(lam, return_inverse=True)
+    width = n + 1
+    powers = np.array([[math.pow(1 - v, e) for e in range(width)]
+                       for v in values.tolist()]).ravel()
+    at = ids * width - np.arange(n)  # + e: index of (1 - l_k)^(e-k)
+    diag = np.ones(n + 1)
+    terms = np.zeros(n + 1)  # terms[0] stays 0.0, the sum's start
+    for m in range(1, n + 1):
+        row = terms[1:m + 1]
+        np.multiply(lam[:m], powers.take(at[:m] + (m - 1)), out=row)
+        row *= diag[:m]
+        diag[m] = np.add.accumulate(terms[:m + 1])[-1]
+    return diag, diag[:n] * powers.take(at + n)
+
+
+def _diagonal(ls: list) -> tuple:
+    """:func:`diagonal_coefficients` of an already validated list."""
+    if ls and all(isinstance(l, Fraction) for l in ls):
+        q, _, nums = _numerators(ls)
+        return (1,) + tuple(Fraction(num, q ** m) for m, num in enumerate(nums[1:], 1))
+    return (1,) + tuple(_float_recursion(ls)[0].tolist()[1:])
+
+
 def diagonal_coefficients(lambdas: Sequence) -> tuple:
     """c_k^k for k = 0..n: the probability that the k-th draw becomes the
     best position the moment it happens.
 
-    Fractions are summed as integer numerators: with ``l_k = a_k / q``
-    over the common denominator q, ``c_n^n = N_n / q^n`` where
-    ``N_n = sum_k a_k (q - a_k)^(n-1-k) N_k``.
+    Exact when every l is a fraction: O(n x distinct l) big-int steps
+    (see :func:`_numerators`). Otherwise in doubles: O(n^2)
+    multiply-adds, as one numpy row per draw (see
+    :func:`_float_recursion`). ``c_0^0`` is the int 1.
     """
-    ls = _check_probs(lambdas)
-    diag = [1]
-    if ls and all(isinstance(l, Fraction) for l in ls):
-        q = math.lcm(*(l.denominator for l in ls))
-        a = [l.numerator * (q // l.denominator) for l in ls]
-        terms: list = []  # terms[k] = a_k (q - a_k)^(n-1-k) N_k at step n
-        numerator = 1     # N_n
-        for n in range(1, len(ls) + 1):
-            terms = [t * (q - a[k]) for k, t in enumerate(terms)]
-            terms.append(a[n - 1] * numerator)
-            numerator = sum(terms)
-            diag.append(Fraction(numerator, q ** n))
-        return tuple(diag)
-    for n in range(1, len(ls) + 1):
-        acc = 0
-        for k in range(n):
-            acc += ls[k] * (1 - ls[k]) ** (n - 1 - k) * diag[k]
-        diag.append(acc)
-    return tuple(diag)
+    return _diagonal(_check_probs(lambdas))
 
 
 def evolve_coefficients(lambdas: Sequence) -> tuple:
     """Distribution of the best index after n steps, by the closed
-    recursion: stale entries decay geometrically, the newest entry
-    collects one jump from each predecessor.
+    recursion: stale entries decay geometrically, ``c_k^n = c_k^k
+    (1 - l_k)^(n-k)``, the newest entry collects one jump from each
+    predecessor.
 
-    Exact when given fractions, double precision otherwise.
+    Exact when every l is a fraction: the stale entries come straight
+    from the diagonal's integer numerators as ``N_k (q - a_k)^(n-k) /
+    q^n``, with no fraction power or product. Otherwise in doubles, from
+    the diagonal's power table. Costs as :func:`diagonal_coefficients`.
     """
     ls = _check_probs(lambdas)
     n = len(ls)
-    diag = diagonal_coefficients(ls)
-    out = [diag[k] * (1 - ls[k]) ** (n - k) for k in range(n)]
-    out.append(diag[n])
-    return tuple(out)
+    if not n:
+        return (1,)
+    if all(isinstance(l, Fraction) for l in ls):
+        q, a, nums = _numerators(ls)
+        qn = q ** n
+        return tuple(Fraction(nums[k] * (q - a[k]) ** (n - k), qn)
+                     for k in range(n)) + (Fraction(nums[n], qn),)
+    diag, stale = _float_recursion(ls)
+    return tuple(stale.tolist()) + (diag[n].item(),)
 
 
 def step_matrix(lambdas: Sequence, n: int, exact: bool = False) -> list:
@@ -211,7 +262,7 @@ def check_estimate(lambdas: Sequence, diag: Optional[Sequence] = None) -> bool:
     if any(b > a for a, b in zip(ls, ls[1:])):
         raise PreconditionError("jump sequence must be monotone non-increasing")
     if diag is None:
-        diag = diagonal_coefficients(ls)
+        diag = _diagonal(ls)
     diag = [float(d) for d in diag]
     n = len(ls)
     cnn = diag[n]
@@ -334,10 +385,11 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     coeffs = evolve_coefficients(jump_probs[:-1] if n else ())
     l0 = float(jump_probs[0])
     rough_ok = float(coeffs[-1]) >= (1 - l0) ** n - ESTIMATE_TOL
+    as_float = {v: float(l) for v, l in by_class.items()}
     ok: dict = {}  # per bucket: every longest chain ending at a draw of it is non-increasing
     for (v, m), below in chains.buckets():
         ok[v, m] = ok.get((v, m), True) and all(
-            ok[k] and float(by_class[v]) <= float(by_class[k[0]]) + ESTIMATE_TOL for k in below)
+            ok[k] and as_float[v] <= as_float[k[0]] + ESTIMATE_TOL for k in below)
     mono = all(o for (_, m), o in ok.items() if m == len(chains.best))
     return ParticleTrace(
         draws=tuple(chains.draws),

@@ -6,6 +6,7 @@ structures or algorithms, so a bug in the package cannot hide in the
 expected values. Deliberately brute force; only run at desk scale.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -189,6 +190,46 @@ def exhaustive_coefficients(lambdas):
         last = pat[-1] if pat else 0
         coeffs[last] += pattern_probability(lambdas, pat, n)
     return coeffs
+
+
+def quadratic_diagonal(lambdas):
+    """c_k^k by the closed recursion with every term summed afresh, in
+    O(n^2) steps. Fractions: integer numerators over the common
+    denominator q (``l_k = a_k / q``), each step rescaling every earlier
+    term ``a_k (q - a_k)^(n-1-k) N_k``. Anything else: the loop
+    ``acc += l_k * (1 - l_k) ** (n-1-k) * c_k^k`` in Python arithmetic,
+    which on doubles fixes every bit of the result."""
+    ls = list(lambdas)
+    diag = [1]
+    if ls and all(isinstance(l, Fraction) for l in ls):
+        q = math.lcm(*(l.denominator for l in ls))
+        a = [l.numerator * (q // l.denominator) for l in ls]
+        terms = []
+        numerator = 1
+        for n in range(1, len(ls) + 1):
+            terms = [t * (q - a[k]) for k, t in enumerate(terms)]
+            terms.append(a[n - 1] * numerator)
+            numerator = sum(terms)
+            diag.append(Fraction(numerator, q ** n))
+        return tuple(diag)
+    for n in range(1, len(ls) + 1):
+        acc = 0
+        for k in range(n):
+            acc += ls[k] * (1 - ls[k]) ** (n - 1 - k) * diag[k]
+        diag.append(acc)
+    return tuple(diag)
+
+
+def quadratic_coefficients(lambdas):
+    """Best-index distribution after n steps from
+    :func:`quadratic_diagonal`: ``c_k^k (1 - l_k)^(n-k)`` for k < n, then
+    ``c_n^n``."""
+    ls = list(lambdas)
+    n = len(ls)
+    diag = quadratic_diagonal(ls)
+    out = [diag[k] * (1 - ls[k]) ** (n - k) for k in range(n)]
+    out.append(diag[n])
+    return tuple(out)
 
 
 def simulate_best_index(lambdas, trials, seed):
