@@ -62,52 +62,35 @@ def _numerators(ls: list) -> tuple:
     return q, a, nums
 
 
-def _float_recursion(ls: list) -> tuple:
-    """The diagonal ``c_0^0..c_n^n`` and the stale entries
-    ``c_k^k (1 - l_k)^(n-k)``, k < n, in doubles, bit for bit as the
-    term-by-term loop ``acc += l_k * (1 - l_k) ** (n-1-k) * c_k^k`` makes
-    them.
-
-    ``math.pow(1 - v, e)`` (the libm call behind ``float ** int``; numpy's
-    ``power`` differs in the last bit) is tabulated once per distinct
-    value v. A row of the recursion is then one gather and the loop's two
-    multiplies, summed by the sequential ``np.add.accumulate`` from a
-    leading 0.0, as the loop's sum starts from 0 (so a ``-0.0`` term adds
-    up to ``0.0``). Memory is O(n x distinct values).
-    """
-    n = len(ls)
-    lam = np.array(ls, dtype=float)
-    values, ids = np.unique(lam, return_inverse=True)
-    width = n + 1
-    powers = np.array([[math.pow(1 - v, e) for e in range(width)]
-                       for v in values.tolist()]).ravel()
-    at = ids * width - np.arange(n)  # + e: index of (1 - l_k)^(e-k)
-    diag = np.ones(n + 1)
-    terms = np.zeros(n + 1)  # terms[0] stays 0.0, the sum's start
-    for m in range(1, n + 1):
-        row = terms[1:m + 1]
-        np.multiply(lam[:m], powers.take(at[:m] + (m - 1)), out=row)
-        row *= diag[:m]
-        diag[m] = np.add.accumulate(terms[:m + 1])[-1]
-    return diag, diag[:n] * powers.take(at + n)
+def _exact(ls: list) -> bool:
+    """Whether ``ls`` takes the exact route: every l a fraction or an int
+    (the 0s and 1s an exact walk may hold), at least one a fraction."""
+    return (all(isinstance(l, (int, Fraction)) for l in ls)
+            and any(isinstance(l, Fraction) for l in ls))
 
 
 def _diagonal(ls: list) -> tuple:
     """:func:`diagonal_coefficients` of an already validated list."""
-    if ls and all(isinstance(l, Fraction) for l in ls):
+    if _exact(ls):
         q, _, nums = _numerators(ls)
         return (1,) + tuple(Fraction(num, q ** m) for m, num in enumerate(nums[1:], 1))
-    return (1,) + tuple(_float_recursion(ls)[0].tolist()[1:])
+    diag = [1]
+    for n in range(1, len(ls) + 1):
+        acc = 0
+        for k in range(n):
+            acc += ls[k] * (1 - ls[k]) ** (n - 1 - k) * diag[k]
+        diag.append(acc)
+    return tuple(diag)
 
 
 def diagonal_coefficients(lambdas: Sequence) -> tuple:
     """c_k^k for k = 0..n: the probability that the k-th draw becomes the
-    best position the moment it happens.
+    best position the moment it happens. ``c_0^0`` is the int 1.
 
-    Exact when every l is a fraction: O(n x distinct l) big-int steps
-    (see :func:`_numerators`). Otherwise in doubles: O(n^2)
-    multiply-adds, as one numpy row per draw (see
-    :func:`_float_recursion`). ``c_0^0`` is the int 1.
+    Exact when the l are fractions (ints 0 and 1 may mix in): every other
+    entry is a fraction, in O(n x distinct l) big-int steps (see
+    :func:`_numerators`). Otherwise the term-by-term loop in Python
+    arithmetic, O(n^2).
     """
     return _diagonal(_check_probs(lambdas))
 
@@ -118,22 +101,20 @@ def evolve_coefficients(lambdas: Sequence) -> tuple:
     (1 - l_k)^(n-k)``, the newest entry collects one jump from each
     predecessor.
 
-    Exact when every l is a fraction: the stale entries come straight
-    from the diagonal's integer numerators as ``N_k (q - a_k)^(n-k) /
-    q^n``, with no fraction power or product. Otherwise in doubles, from
-    the diagonal's power table. Costs as :func:`diagonal_coefficients`.
+    Exact as in :func:`diagonal_coefficients`: the stale entries come
+    straight from the diagonal's integer numerators as ``N_k (q -
+    a_k)^(n-k) / q^n``, with no fraction power or product. Otherwise in
+    Python arithmetic, O(n^2).
     """
     ls = _check_probs(lambdas)
     n = len(ls)
-    if not n:
-        return (1,)
-    if all(isinstance(l, Fraction) for l in ls):
-        q, a, nums = _numerators(ls)
-        qn = q ** n
-        return tuple(Fraction(nums[k] * (q - a[k]) ** (n - k), qn)
-                     for k in range(n)) + (Fraction(nums[n], qn),)
-    diag, stale = _float_recursion(ls)
-    return tuple(stale.tolist()) + (diag[n].item(),)
+    if not _exact(ls):
+        diag = _diagonal(ls)
+        return tuple(diag[k] * (1 - ls[k]) ** (n - k) for k in range(n)) + (diag[n],)
+    q, a, nums = _numerators(ls)
+    qn = q ** n
+    return tuple(Fraction(nums[k] * (q - a[k]) ** (n - k), qn)
+                 for k in range(n)) + (Fraction(nums[n], qn),)
 
 
 def step_matrix(lambdas: Sequence, n: int, exact: bool = False) -> list:
