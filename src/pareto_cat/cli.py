@@ -4,8 +4,8 @@ Subcommands operate on instance files (JSON documents describing the
 resource preorder, objectives, object weights and optional scale
 tables). Results print to stdout as JSON with sorted keys; ``--out``
 redirects to a file, and a ``.csv`` suffix selects CSV for the tabular
-commands (frontier, swarm). Exit status: 0 on success, 1 on any
-domain error (bad instance, failed sampling), 2 on usage errors.
+commands (frontier, swarm). Exit status: 0 on success, 1 on any domain
+error (bad instance, failed sampling, unwritable ``--out``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -30,21 +31,23 @@ _PROG = "pareto-cat"
 
 
 def _emit(doc: dict, out: str | None, csv_rows=None, csv_header=None) -> None:
-    if out is not None and out.endswith(".csv"):
-        if csv_rows is None:
-            raise ParetoCatError(f"CSV output is not available for this command: {out}")
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(csv_header)
-            w.writerows(csv_rows)
-        return
-    with gc_paused():
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w") as fh:
-        fh.write(text)
+    as_csv = out is not None and out.endswith(".csv")
+    if as_csv and csv_rows is None:
+        raise ParetoCatError(f"CSV output is not available for this command: {out}")
+    if not as_csv:
+        with gc_paused():
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if out is None:
+            sys.stdout.write(text)
+            return
+    try:
+        with open(out, "w", newline="" if as_csv else None) as fh:
+            if as_csv:
+                csv.writer(fh).writerows(chain([csv_header], csv_rows))
+            else:
+                fh.write(text)
+    except OSError as e:
+        raise ParetoCatError(f"cannot write {out}: {e.strerror or e}") from e
 
 
 def _load(args) -> "Instance":

@@ -34,9 +34,9 @@ def first_bad_row(table, hom) -> Optional[tuple]:
     if t.size and not 0 <= t.min() <= t.max() < len(hom):
         row = ((t < 0) | (t >= len(hom))).any(axis=1).argmax()
         return "range", int(row), f"scale values out of range for a {len(hom)}-object category"
-    broken = np.argwhere(~hom[t[:, :-1], t[:, 1:]])
-    if len(broken):
-        r, s = broken[0]
+    arrows = hom.ravel()[t[:, :-1] * len(hom) + t[:, 1:]]
+    if not arrows.all():
+        r, s = np.argwhere(~arrows)[0]
         return ("transition", int(r),
                 f"missing transition arrow {t[r, s]} -> {t[r, s + 1]} at scale {s}")
     return None

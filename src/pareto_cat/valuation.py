@@ -107,15 +107,14 @@ class ObjectDistribution:
 
 
 def _dense(key: np.ndarray, size: int) -> tuple:
-    """``key``'s values (all below ``size``) renumbered 0.. in ascending
-    order, and how many distinct values there are: by a presence table
+    """``key``'s distinct values (all below ``size``), ascending, and ``key``
+    renumbered by them, as ``np.unique`` returns them: by a presence table
     over 0..size-1 when that is no longer than ``key``, else by sorting."""
     if size > len(key):
-        values, ids = np.unique(key, return_inverse=True)
-        return ids, len(values)
+        return np.unique(key, return_inverse=True)
     present = np.zeros(size, dtype=bool)
     present[key] = True
-    return (np.cumsum(present) - 1)[key], int(np.count_nonzero(present))
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[key]
 
 
 class ClassVectors(NamedTuple):
@@ -185,26 +184,35 @@ class ValuationSystem:
         return tuple(self.admissible_mask.tolist())
 
     @cached_property
+    def class_tables(self) -> tuple:
+        """Per objective, every rank's image class, in the least unsigned dtype."""
+        return tuple(np.asarray(o.target.iso_class_of,
+                                np.min_scalar_type(len(o.target.iso_classes) - 1))[table]
+                     for o, table in zip(self.objectives, self.image_tables))
+
+    @cached_property
     def image_class_vectors(self) -> ClassVectors:
         """Class-vector ids of every rank, in lexicographic order of the
-        vectors, and the arrows between vectors, read off the images of the
-        first rank with each vector. Ids are numbered one objective (of m
-        classes) at a time, by the key ``id * m + class``, so no key reaches
-        (ids so far) x m, however many objectives there are."""
-        self._guard()
-        ids, count = np.zeros(self.functor_count, dtype=np.intp), 1
-        for obj, table in zip(self.objectives, self.image_tables):
-            m = len(obj.target.iso_classes)
-            ids *= m
-            ids += np.asarray(obj.target.iso_class_of)[table]
-            ids, count = _dense(ids, count * m)
-        first = np.full(count, self.functor_count)
-        np.minimum.at(first, ids, np.arange(self.functor_count))
-        arrows = np.ones((count, count), dtype=bool)
-        for obj, table in zip(self.objectives, self.image_tables):
-            images = table[first]
-            arrows &= np.asarray(obj.target.hom)[images][:, images]
-        return ClassVectors(ids, arrows, arrows & ~np.eye(count, dtype=bool))
+        vectors, and the arrows between vectors, read off each class's least
+        object. The key ``key * m + class`` (m classes) per objective is made
+        dense only when the next radix would take it past the rank count."""
+        radices = [len(obj.target.iso_classes) for obj in self.objectives]
+        key, size, renumbered = self.class_tables[0].astype(np.intp), radices[0], {}
+        for a in range(1, len(radices)):
+            if size * radices[a] > len(key):
+                renumbered[a], key = _dense(key, size)
+                size = len(renumbered[a])
+            key *= radices[a]
+            key += self.class_tables[a]
+            size *= radices[a]
+        present, ids = _dense(key, size)
+        arrows = np.ones((len(present), len(present)), dtype=bool)
+        for a, obj in reversed(list(enumerate(self.objectives))):  # decode, last objective first
+            present, classes = np.divmod(present, radices[a])
+            least = np.array([min(c, default=0) for c in obj.target.iso_classes])[classes]
+            arrows &= np.asarray(obj.target.hom)[least][:, least]
+            present = renumbered[a][present] if a in renumbered else present
+        return ClassVectors(ids, arrows, arrows & ~np.eye(len(arrows), dtype=bool))
 
     @cached_property
     def iso_representatives(self) -> np.ndarray:
@@ -256,8 +264,7 @@ class ValuationSystem:
         # The map must send isomorphic systems to isomorphic images; the
         # first rank of an iso group is its representative.
         reps = self.iso_representatives
-        for i, (obj, table) in enumerate(zip(self.objectives, self.image_tables)):
-            classes = np.asarray(obj.target.iso_class_of)[table]
+        for i, classes in enumerate(self.class_tables):
             split = np.flatnonzero(classes != classes[reps])
             if split.size:
                 r = split[0]

@@ -130,6 +130,56 @@ def class_vector_numbering(doc):
     return ids, first, arrows, strict, np.array(frontier, dtype=int)
 
 
+def _dense_per_objective(key, size):
+    """``key``'s values (all below ``size``) renumbered 0.. in ascending
+    order, and how many distinct values there are."""
+    if size > len(key):
+        values, ids = np.unique(key, return_inverse=True)
+        return ids, len(values)
+    present = np.zeros(size, dtype=bool)
+    present[key] = True
+    return (np.cumsum(present) - 1)[key], int(np.count_nonzero(present))
+
+
+def per_objective_class_vectors(image_tables, targets):
+    """Image-class vectors numbered one objective at a time: per rank,
+    ``id * m + class`` renumbered densely after every objective, and the
+    arrows read off the images of the first rank with each vector.
+    ``targets`` holds each objective's ``(iso_classes, hom)`` as nested
+    lists. Returns the ids, the arrows and the strict arrows."""
+    ids, count = np.zeros(len(image_tables[0]), dtype=np.intp), 1
+    for table, (iso_classes, _) in zip(image_tables, targets):
+        class_of_object = np.zeros(sum(map(len, iso_classes)), dtype=np.intp)
+        for c, members in enumerate(iso_classes):
+            class_of_object[list(members)] = c
+        ids *= len(iso_classes)
+        ids += class_of_object[table]
+        ids, count = _dense_per_objective(ids, count * len(iso_classes))
+    first = np.full(count, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    arrows = np.ones((count, count), dtype=bool)
+    for table, (_, hom) in zip(image_tables, targets):
+        images = table[first]
+        arrows &= np.asarray(hom, dtype=bool)[images][:, images]
+    return ids, arrows, arrows & ~np.eye(count, dtype=bool)
+
+
+def scale_first_bad_row(table, hom):
+    """``(kind, row, message)`` of the first row of a scale table out of
+    range for ``hom``'s objects, else of the first row missing a
+    transition arrow (at its least scale), else None; row by row."""
+    k = len(hom)
+    for r, row in enumerate(table):
+        if any(not 0 <= v < k for v in row):
+            return "range", r, f"scale values out of range for a {k}-object category"
+    for r, row in enumerate(table):
+        for s in range(len(row) - 1):
+            if not hom[row[s]][row[s + 1]]:
+                return ("transition", r,
+                        f"missing transition arrow {row[s]} -> {row[s + 1]} at scale {s}")
+    return None
+
+
 def chain_walk(doc, draws, tol=1e-12):
     """Per draw of a walk: the length of the longest strictly improving
     chain of draws ending at it, how many chains that long end there

@@ -296,6 +296,19 @@ def test_out_writes_json_file(tmp_path, capsys):
     assert doc["frontier_count"] == 4
 
 
+@pytest.mark.parametrize("name", ["report.json", "report.csv"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, where, name):
+    target = tmp_path / "absent" / name
+    if where == "directory":
+        target = tmp_path / name
+        target.mkdir()
+    code, out, err = run(capsys, ["frontier", STAIRCASE, "--out", str(target)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"pareto-cat: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_empty_admissible_warning_and_failures(tmp_path, capsys):
     doc = {
         "category": {

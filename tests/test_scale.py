@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
+from pareto_cat.scale import first_bad_row
 
+import oracles
 from conftest import preorders, scale_objects
 
 CHAIN4 = pc.TargetCategory(
@@ -51,6 +54,23 @@ def test_shift_is_a_monoid_action(data):
     b = data.draw(st.integers(0, 4))
     assert pc.shift(y, 0) == y
     assert pc.shift(pc.shift(y, a), b) == pc.shift(y, a + b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_first_bad_row_matches_a_row_by_row_scan(data):
+    """The first bad row, its kind and its message, on tables of walks
+    with some values moved, out of range among them."""
+    base = data.draw(preorders())
+    grid_len = data.draw(st.integers(1, 5))
+    rows = [list(data.draw(scale_objects(base, grid_len)).values)
+            for _ in range(data.draw(st.integers(0, 6)))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        if rows:
+            r, s = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, grid_len - 1))
+            rows[r][s] = data.draw(st.integers(-1, base.size))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), grid_len)
+    assert first_bad_row(table, base.hom) == oracles.scale_first_bad_row(rows, base.hom)
 
 
 def test_interleaving_frozen_cases():

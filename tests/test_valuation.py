@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
+from pareto_cat import valuation
 from pareto_cat.valuation import ImprovementChains, frontier_ranks
 
 import oracles
-from conftest import fixture_doc, level_category, many_objectives_doc, valuation_systems
+from conftest import (FIXTURES, fixture_doc, level_category, many_objectives_doc,
+                      valuation_systems)
 
 
 # --- frozen oracle values (tests/oracles.py run against the fixtures) ---
@@ -262,6 +265,119 @@ def test_class_vectors_are_exact_past_64_objectives(tmp_path, count):
     assert not pc.minorizes(s, (1,), (0,))
     assert pc.pareto_frontier(s).member_set == {(1,)}
     assert pc.minorization_mass(s, inst.distribution, (0,), exact=True) == Fraction(1, 2)
+
+
+@st.composite
+def many_table_objectives(draw):
+    """Up to 4^3 ranks and 1 to 70 table objectives, each into one of up to
+    three targets of 1 to 9 objects (some of them isomorphic). Images are
+    drawn from a seed and repeat with period ``spread`` over the ranks, so
+    the distinct class vectors run from one to every rank, while the
+    product of class counts runs far past the rank count."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cat, _ = level_category(draw, k)
+    targets = [level_category(draw, draw(st.integers(1, 9)), max_level=draw(st.integers(0, 8)))[0]
+               for _ in range(draw(st.integers(1, 3)))]
+    count, spread = draw(st.integers(1, 70)), draw(st.integers(1, k ** n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    objectives = []
+    for _ in range(count):
+        target = targets[rng.integers(len(targets))]
+        images = rng.integers(target.size, size=spread)[np.arange(k ** n) % spread]
+        objectives.append(pc.Objective(target=target, goal=0, kind="table",
+                                       entries=tuple(images.tolist())))
+    return pc.ValuationSystem(cat=cat, n=n, objectives=tuple(objectives))
+
+
+def _raw_images(system):
+    """Per objective, the image of every system in lexicographic order,
+    from the map's entries or by folding the tensor table."""
+    tensor, unit = system.cat.tensor, system.cat.unit
+    systems = list(itertools.product(range(system.cat.size), repeat=system.n))
+    return [np.array(obj.entries) if obj.kind == "table" else
+            np.array([obj.h[oracles.fold_tensor(tensor, unit, t)] for t in systems])
+            for obj in system.objectives]
+
+
+def _check_against_per_objective_numbering(system):
+    images = _raw_images(system)
+    ids, arrows, strict = oracles.per_objective_class_vectors(
+        images, [(obj.target.iso_classes, obj.target.hom) for obj in system.objectives])
+    c = system.image_class_vectors
+    assert c.ids.dtype == ids.dtype == np.intp
+    assert np.array_equal(c.ids, ids)
+    assert np.array_equal(c.arrows, arrows)
+    assert np.array_equal(c.strict, strict)
+    for obj, table, classes in zip(system.objectives, images, system.class_tables):
+        assert np.array_equal(classes, np.asarray(obj.target.iso_class_of)[table])
+        assert classes.dtype == np.min_scalar_type(len(obj.target.iso_classes) - 1)
+
+
+# a renumber after objective 1 of 2 by the presence table, then the final
+# one by np.unique (2 ids x 3 classes exceed the 4 ranks); and 70
+# objectives of 2 classes over 2 ranks, renumbered at every objective
+NUMBERING_EXAMPLES = (TWO_STEP, pc.load_instance(many_objectives_doc(70)).system)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_class_vectors_on_fixtures_match_the_per_objective_numbering(all_instances, name):
+    _check_against_per_objective_numbering(all_instances[name].system)
+
+
+def test_class_vectors_with_an_empty_iso_class_match_the_per_objective_numbering():
+    doc = fixture_doc("staircase")
+    doc["valuations"][0]["target"]["iso_classes"].append([])
+    _check_against_per_objective_numbering(pc.load_instance(doc).system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(many_table_objectives())
+@example(NUMBERING_EXAMPLES[0])
+@example(NUMBERING_EXAMPLES[1])
+def test_class_vectors_match_the_per_objective_numbering(system):
+    """One mixed-radix key gives the ids (dtype too), arrows and strict
+    arrows of a renumbering after every objective with arrows read off
+    first ranks, and the class tables are the images' iso classes."""
+    _check_against_per_objective_numbering(system)
+
+
+def test_numbering_examples_take_both_dense_branches_and_renumber_midway(monkeypatch):
+    dense, calls = valuation._dense, []  # per _dense call: the build, and whether it sorted
+
+    def spy(key, size):
+        calls.append((build, size > len(key)))
+        return dense(key, size)
+
+    monkeypatch.setattr(valuation, "_dense", spy)
+    for build, system in enumerate(NUMBERING_EXAMPLES):
+        fresh = pc.ValuationSystem(cat=system.cat, n=system.n, objectives=system.objectives)
+        fresh.image_class_vectors
+    assert {sorted_ for _, sorted_ in calls} == {False, True}
+    assert all(sum(b == build for b, _ in calls) > 1 for build in range(len(NUMBERING_EXAMPLES)))
+
+
+def test_class_vectors_take_memory_linear_in_the_ranks():
+    """Four objectives of 64 classes each over 2^14 ranks: the product of
+    class counts, 2^24, is far past the rank count. Building the class
+    vectors allocates at most a few words per rank, never a table over
+    the range of the products."""
+    k, n = 2, 14
+    ranks = np.arange(k ** n)
+    target = _chain_target(64)
+    system = pc.ValuationSystem(
+        cat=TWO_STEP.cat, n=n,
+        objectives=tuple(pc.Objective(target=target, goal=0, kind="table",
+                                      entries=tuple((ranks * (a + 1) % 8 * 9).tolist()))
+                         for a in range(4)))
+    system.class_tables
+    tracemalloc.start()
+    try:
+        c = system.image_class_vectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c.arrows) == 8
+    assert peak < 16 * 8 * k ** n  # 16 words per rank
 
 
 def test_prime_admissibility_thread_independent(staircase):
