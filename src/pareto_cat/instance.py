@@ -273,8 +273,7 @@ def validate_instance(inst: Instance) -> list:
     except LoadError as e:
         problems.append(e)
     if not problems:
-        if count_within(inst.cat.size, inst.n, inst.cap) <= inst.cap:
-            problems.extend(inst.system.validate_maps())
+        problems.extend(inst.system.validate_maps())
         if inst.scale is not None:
             for a, (table, obj) in enumerate(zip(inst.scale.tables, inst.objectives)):
                 bad = first_bad_row(table, obj.target.hom)

@@ -138,7 +138,7 @@ def evolve_by_matrix(lambdas: Sequence) -> tuple:
     """Same distribution as :func:`evolve_coefficients`, produced by
     repeated multiplication with the explicit step matrices."""
     ls = _check_probs(lambdas)
-    exact = bool(ls) and isinstance(ls[0], Fraction)
+    exact = _exact(ls)
     c = [Fraction(1)] if exact else [1.0]
     for n in range(len(ls)):
         s = step_matrix(ls, n, exact=exact)
@@ -413,7 +413,7 @@ def induced_system(vsys: ValuationSystem, trace: ParticleTrace, alpha: int) -> I
                 f"draws {k} -> {k + 1} are isomorphic in objective {alpha}; the chain must be strict"
             )
     ls = list(trace.jump_probs)
-    exact = bool(ls) and isinstance(ls[0], Fraction)
+    exact = _exact(ls)
     one = Fraction(1) if exact else 1.0
     objects = [ProbObject([(one, imgs[0])])]
     steps = []

@@ -12,18 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate, chain, islice, product, repeat
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, StructureError
-
-
-def _freeze_bool_table(rows) -> tuple:
-    return tuple(tuple(bool(x) for x in row) for row in rows)
-
-
-def _freeze_int_table(rows) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,7 @@ class TargetCategory:
 
     def __init__(self, size: int, hom, iso_classes):
         object.__setattr__(self, "size", int(size))
-        object.__setattr__(self, "hom", _freeze_bool_table(hom))
+        object.__setattr__(self, "hom", tuple(tuple(map(bool, row)) for row in hom))
         object.__setattr__(
             self, "iso_classes", tuple(tuple(sorted(int(x) for x in c)) for c in iso_classes)
         )
@@ -50,6 +43,8 @@ class TargetCategory:
         """Map object id -> index of its iso class (partition cell)."""
         out = [-1] * self.size
         for ci, cell in enumerate(self.iso_classes):
+            if not cell:
+                raise StructureError(f"iso_classes has an empty cell at index {ci}")
             for x in cell:
                 if not 0 <= x < self.size or out[x] != -1:
                     raise StructureError(f"iso_classes is not a partition of 0..{self.size - 1}")
@@ -72,7 +67,7 @@ class ResourceCategory(TargetCategory):
     def __init__(self, size: int, hom, iso_classes, unit: int, tensor):
         TargetCategory.__init__(self, size, hom, iso_classes)
         object.__setattr__(self, "unit", int(unit))
-        object.__setattr__(self, "tensor", _freeze_int_table(tensor))
+        object.__setattr__(self, "tensor", tuple(tuple(map(int, row)) for row in tensor))
 
     def tens(self, a: int, b: int) -> int:
         return self.tensor[a][b]
@@ -94,6 +89,20 @@ class ValidationReport:
         return {v.code for v in self.violations}
 
 
+# message template per law code, filled from the witness
+_MESSAGES = {
+    "rescat.hom.reflexivity": "hom({0},{0}) is false",
+    "rescat.hom.transitivity": "hom({0},{1}) and hom({1},{2}) but not hom({0},{2})",
+    "rescat.iso.mutual_hom": "isomorphic pair ({0},{1}) lacks a hom arrow",
+    "rescat.hom.iso_respect": "hom({0},{1}) != hom({2},{3}) on isomorphic arguments",
+    "rescat.tensor.iso_respect": "tensor lands in different iso classes on isomorphic arguments",
+    "rescat.tensor.unit": "unit law fails at {0}",
+    "rescat.tensor.symmetry": "{0}x{1} not symmetric up to iso",
+    "rescat.tensor.associativity": "associativity fails up to iso at ({0},{1},{2})",
+    "rescat.tensor.functoriality": "tensor of two arrows is not an arrow",
+}
+
+
 def _check_shape(cat: TargetCategory) -> None:
     k = cat.size
     if k < 1:
@@ -106,134 +115,72 @@ def _check_shape(cat: TargetCategory) -> None:
             raise StructureError(f"unit {cat.unit} out of range")
         if len(cat.tensor) != k or any(len(row) != k for row in cat.tensor):
             raise StructureError(f"tensor table must be {k}x{k}")
-        for a in range(k):
-            for b in range(k):
-                if not 0 <= cat.tensor[a][b] < k:
-                    raise StructureError(f"tensor[{a}][{b}] = {cat.tensor[a][b]} out of range")
+        for a, b in product(range(k), range(k)):
+            if not 0 <= cat.tensor[a][b] < k:
+                raise StructureError(f"tensor[{a}][{b}] = {cat.tensor[a][b]} out of range")
 
 
 def validate_category(cat: TargetCategory, max_violations: int = 50) -> ValidationReport:
     """Check the category laws and report violations with witnesses.
 
     Shape problems raise :class:`StructureError`; law failures are
-    collected (up to ``max_violations``) and returned. Codes are stable:
+    returned. Witnesses come in law order (the codes below; unit and
+    symmetry interleave by their first argument) and row-major within a
+    law, and checking stops at the cap ``max_violations``. Codes are stable:
     ``rescat.hom.reflexivity``, ``rescat.hom.transitivity``,
     ``rescat.iso.mutual_hom``, ``rescat.hom.iso_respect``, and for
-    resource categories additionally ``rescat.tensor.symmetry``,
-    ``rescat.tensor.associativity``, ``rescat.tensor.unit``,
-    ``rescat.tensor.iso_respect``, ``rescat.tensor.functoriality``.
+    resource categories additionally ``rescat.tensor.iso_respect``,
+    ``rescat.tensor.unit``, ``rescat.tensor.symmetry``,
+    ``rescat.tensor.associativity``, ``rescat.tensor.functoriality``.
+    An iso-respect witness ``(a0, b0, a, b)`` compares ``(a, b)`` with
+    ``(a0, b0)``, the least members of their iso classes.
     """
     _check_shape(cat)
-    k = cat.size
-    hom = cat.hom
-    cls = cat.iso_class_of
-    out: list[Violation] = []
-
-    def add(code, witness, message):
-        if len(out) < max_violations:
-            out.append(Violation(code, tuple(witness), message))
-
-    for a in range(k):
-        if not hom[a][a]:
-            add("rescat.hom.reflexivity", (a,), f"hom({a},{a}) is false")
-    for a in range(k):
-        for b in range(k):
-            if not hom[a][b]:
-                continue
-            for c in range(k):
-                if hom[b][c] and not hom[a][c]:
-                    add(
-                        "rescat.hom.transitivity",
-                        (a, b, c),
-                        f"hom({a},{b}) and hom({b},{c}) but not hom({a},{c})",
-                    )
-    for cell in cat.iso_classes:
-        for a in cell:
-            for b in cell:
-                if not (hom[a][b] and hom[b][a]):
-                    add(
-                        "rescat.iso.mutual_hom",
-                        (a, b),
-                        f"isomorphic pair ({a},{b}) lacks a hom arrow",
-                    )
-    # hom must only depend on iso classes
-    seen: dict = {}
-    for a in range(k):
-        for b in range(k):
-            key = (cls[a], cls[b])
-            if key in seen:
-                a0, b0 = seen[key]
-                if hom[a][b] != hom[a0][b0]:
-                    add(
-                        "rescat.hom.iso_respect",
-                        (a0, b0, a, b),
-                        f"hom({a0},{b0}) != hom({a},{b}) on isomorphic arguments",
-                    )
-            else:
-                seen[key] = (a, b)
-
+    k = range(cat.size)
+    hom, cls = cat.hom, cat.iso_class_of
+    least = [cat.iso_classes[c][0] for c in cls]
+    streams = [
+        (("rescat.hom.reflexivity", (a,)) for a in k if not hom[a][a]),
+        (("rescat.hom.transitivity", (a, b, c))
+         for a in k for b in k if hom[a][b] for c in k if hom[b][c] and not hom[a][c]),
+        (("rescat.iso.mutual_hom", (a, b)) for cell in cat.iso_classes
+         for a in cell for b in cell if not (hom[a][b] and hom[b][a])),
+        (("rescat.hom.iso_respect", (least[a], least[b], a, b))
+         for a, b in product(k, k) if hom[a][b] != hom[least[a]][least[b]]),
+    ]
     if isinstance(cat, ResourceCategory):
-        tens = cat.tensor
-        seen_t: dict = {}
-        for a in range(k):
-            for b in range(k):
-                key = (cls[a], cls[b])
-                if key in seen_t:
-                    a0, b0 = seen_t[key]
-                    if cls[tens[a][b]] != cls[tens[a0][b0]]:
-                        add(
-                            "rescat.tensor.iso_respect",
-                            (a0, b0, a, b),
-                            "tensor lands in different iso classes on isomorphic arguments",
-                        )
-                else:
-                    seen_t[key] = (a, b)
-        for a in range(k):
-            if cls[tens[a][cat.unit]] != cls[a] or cls[tens[cat.unit][a]] != cls[a]:
-                add("rescat.tensor.unit", (a,), f"unit law fails at {a}")
-            for b in range(k):
-                if cls[tens[a][b]] != cls[tens[b][a]]:
-                    add("rescat.tensor.symmetry", (a, b), f"{a}x{b} not symmetric up to iso")
-        for a in range(k):
-            for b in range(k):
-                ab = tens[a][b]
-                for c in range(k):
-                    if cls[tens[ab][c]] != cls[tens[a][tens[b][c]]]:
-                        add(
-                            "rescat.tensor.associativity",
-                            (a, b, c),
-                            f"associativity fails up to iso at ({a},{b},{c})",
-                        )
-        for a in range(k):
-            for b in range(k):
-                if not hom[a][b]:
-                    continue
-                for a2 in range(k):
-                    for b2 in range(k):
-                        if hom[a2][b2] and not hom[tens[a][a2]][tens[b][b2]]:
-                            add(
-                                "rescat.tensor.functoriality",
-                                (a, b, a2, b2),
-                                "tensor of two arrows is not an arrow",
-                            )
+        tens, u = cat.tensor, cat.unit
 
-    return ValidationReport(ok=not out, violations=tuple(out))
+        def unit_and_symmetry():
+            for a in k:
+                if cls[tens[a][u]] != cls[a] or cls[tens[u][a]] != cls[a]:
+                    yield "rescat.tensor.unit", (a,)
+                yield from (("rescat.tensor.symmetry", (a, b))
+                            for b in k if cls[tens[a][b]] != cls[tens[b][a]])
+
+        streams += [
+            (("rescat.tensor.iso_respect", (least[a], least[b], a, b))
+             for a, b in product(k, k) if cls[tens[a][b]] != cls[tens[least[a]][least[b]]]),
+            unit_and_symmetry(),
+            (("rescat.tensor.associativity", (a, b, c)) for a, b, c in product(k, k, k)
+             if cls[tens[tens[a][b]][c]] != cls[tens[a][tens[b][c]]]),
+            (("rescat.tensor.functoriality", (a, b, a2, b2))
+             for a, b in product(k, k) if hom[a][b]
+             for a2, b2 in product(k, k) if hom[a2][b2] and not hom[tens[a][a2]][tens[b][b2]]),
+        ]
+    found = islice(chain.from_iterable(streams), max(max_violations, 0))
+    out = tuple(Violation(code, w, _MESSAGES[code].format(*w)) for code, w in found)
+    return ValidationReport(ok=not out, violations=out)
 
 
 def close_hom(hom: Sequence[Sequence[bool]]) -> tuple:
     """Reflexive-transitive closure of a hom table (Warshall)."""
-    k = len(hom)
-    m = [[bool(x) for x in row] for row in hom]
-    for a in range(k):
-        m[a][a] = True
-    for b in range(k):
-        for a in range(k):
-            if m[a][b]:
-                row_a, row_b = m[a], m[b]
-                for c in range(k):
-                    if row_b[c]:
-                        row_a[c] = True
-    return tuple(tuple(row) for row in m)
+    m = [[bool(x) or a == c for c, x in enumerate(row)] for a, row in enumerate(hom)]
+    for b, row_b in enumerate(m):
+        for a, row_a in enumerate(m):
+            if row_a[b]:
+                m[a] = [x or y for x, y in zip(row_a, row_b)]
+    return tuple(map(tuple, m))
 
 
 def convertible(cat: TargetCategory, a: int, b: int) -> bool:
@@ -249,10 +196,7 @@ def tensor_power(cat: ResourceCategory, a: int, n: int) -> int:
         raise PreconditionError(f"tensor power needs n >= 1, got {n}")
     if not 0 <= a < cat.size:
         raise StructureError(f"object id out of range: {a}")
-    out = a
-    for _ in range(n - 1):
-        out = cat.tensor[out][a]
-    return out
+    return reduce(cat.tens, repeat(a, n - 1), a)
 
 
 def conversion_rate(
@@ -267,22 +211,9 @@ def conversion_rate(
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    pow_a = [None] * (n_max + 1)
-    pow_b = [None] * (n_max + 1)
-    pow_a[1] = a
-    pow_b[1] = b
-    for i in range(2, n_max + 1):
-        pow_a[i] = cat.tensor[pow_a[i - 1]][a]
-        pow_b[i] = cat.tensor[pow_b[i - 1]][b]
-    best: Optional[Fraction] = None
-    for n in range(1, n_max + 1):
-        src = pow_a[n]
-        for m in range(1, n_max + 1):
-            if cat.hom[src][pow_b[m]]:
-                r = Fraction(m, n)
-                if best is None or r > best:
-                    best = r
-    return best
+    pow_a, pow_b = (list(accumulate(repeat(x, n_max), cat.tens)) for x in (a, b))
+    return max((Fraction(m, n) for n, src in enumerate(pow_a, 1)
+                for m, dst in enumerate(pow_b, 1) if cat.hom[src][dst]), default=None)
 
 
 def mutually_convertible(cat: TargetCategory, a: int, b: int) -> bool:

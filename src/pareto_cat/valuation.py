@@ -209,7 +209,7 @@ class ValuationSystem:
         arrows = np.ones((len(present), len(present)), dtype=bool)
         for a, obj in reversed(list(enumerate(self.objectives))):  # decode, last objective first
             present, classes = np.divmod(present, radices[a])
-            least = np.array([min(c, default=0) for c in obj.target.iso_classes])[classes]
+            least = np.array([c[0] for c in obj.target.iso_classes])[classes]
             arrows &= np.asarray(obj.target.hom)[least][:, least]
             present = renumbered[a][present] if a in renumbered else present
         return ClassVectors(ids, arrows, arrows & ~np.eye(len(arrows), dtype=bool))
@@ -231,6 +231,8 @@ class ValuationSystem:
         """Structural and iso-respect checks for the objectives.
 
         Returns LoadError records (not raised) so a loader can batch them.
+        The iso-respect check needs every rank's image, so it runs only
+        when the other checks pass and K^n is within the cap.
         """
         problems = []
         k, n = self.cat.size, self.n
@@ -259,7 +261,7 @@ class ValuationSystem:
             if not 0 <= obj.goal < obj.target.size:
                 problems.append(LoadError("valuation.range", path + ".goal",
                                           f"goal {obj.goal} out of range"))
-        if problems:
+        if problems or count_within(k, n, self.cap) > self.cap:
             return problems
         # The map must send isomorphic systems to isomorphic images; the
         # first rank of an iso group is its representative.

@@ -362,3 +362,48 @@ if __name__ == "__main__":
     print("pattern (1,2) of (0.5,0.4,0.3) n=2:",
           pattern_probability([0.5, 0.4, 0.3], (1, 2), 2))
     print("mc (0.5,0.5):", simulate_best_index([0.5, 0.5], 200000, 1))
+
+
+def category_violations(cat, max_violations=50):
+    """``validate_category``'s report as (code, witness, message) triples,
+    read off the law statements: one brute-force product per law, in the
+    documented law order, then cut at the cap. An iso-respect witness
+    pairs ``(a, b)`` with the first pair, row-major, whose objects lie in
+    the same classes."""
+    k = range(cat.size)
+    hom = cat.hom
+    cls = {x: c for c, cell in enumerate(cat.iso_classes) for x in cell}
+    first = {(a, b): next((x, y) for x, y in product(k, k)
+                          if (cls[x], cls[y]) == (cls[a], cls[b]))
+             for a, b in product(k, k)}
+
+    out = [("rescat.hom.reflexivity", (a,), f"hom({a},{a}) is false")
+           for a in k if not hom[a][a]]
+    out += [("rescat.hom.transitivity", (a, b, c),
+             f"hom({a},{b}) and hom({b},{c}) but not hom({a},{c})")
+            for a, b, c in product(k, k, k) if hom[a][b] and hom[b][c] and not hom[a][c]]
+    out += [("rescat.iso.mutual_hom", (a, b), f"isomorphic pair ({a},{b}) lacks a hom arrow")
+            for cell in cat.iso_classes for a, b in product(cell, cell)
+            if not (hom[a][b] and hom[b][a])]
+    out += [("rescat.hom.iso_respect", (a0, b0, a, b),
+             f"hom({a0},{b0}) != hom({a},{b}) on isomorphic arguments")
+            for (a, b), (a0, b0) in first.items() if hom[a][b] != hom[a0][b0]]
+    if hasattr(cat, "tensor"):
+        t, u = cat.tensor, cat.unit
+        out += [("rescat.tensor.iso_respect", (a0, b0, a, b),
+                 "tensor lands in different iso classes on isomorphic arguments")
+                for (a, b), (a0, b0) in first.items() if cls[t[a][b]] != cls[t[a0][b0]]]
+        unit = [("rescat.tensor.unit", (a,), f"unit law fails at {a}")
+                for a in k if cls[t[a][u]] != cls[a] or cls[t[u][a]] != cls[a]]
+        symmetry = [("rescat.tensor.symmetry", (a, b), f"{a}x{b} not symmetric up to iso")
+                    for a, b in product(k, k) if cls[t[a][b]] != cls[t[b][a]]]
+        # the two laws interleave by the first argument, unit first
+        out += sorted(unit + symmetry, key=lambda v: v[1][0])
+        out += [("rescat.tensor.associativity", (a, b, c),
+                 f"associativity fails up to iso at ({a},{b},{c})")
+                for a, b, c in product(k, k, k) if cls[t[t[a][b]][c]] != cls[t[a][t[b][c]]]]
+        out += [("rescat.tensor.functoriality", (a, b, a2, b2),
+                 "tensor of two arrows is not an arrow")
+                for a, b, a2, b2 in product(k, k, k, k)
+                if hom[a][b] and hom[a2][b2] and not hom[t[a][a2]][t[b][b2]]]
+    return out[:max(max_violations, 0)]

@@ -51,6 +51,18 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert code == 0 and doc["ok"] is True
 
 
+def test_validate_checks_map_ranges_past_the_cap(tmp_path, capsys):
+    bad = fixture_doc("staircase")
+    bad["valuations"][0]["map"]["h"][0] = 99
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    for argv in (["validate", str(p)], ["validate", str(p), "--cap", "1"]):
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 1 and doc["ok"] is False
+        assert [(q["code"], q["path"]) for q in doc["problems"]] == [
+            ("valuation.range", "valuations[0].map.h")]
+
+
 def test_missing_file_is_a_domain_error(capsys):
     code, out, err = run(capsys, ["validate", "/no/such/file.json"])
     assert code == 1

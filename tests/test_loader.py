@@ -51,6 +51,17 @@ def test_non_integers_fail_with_the_sections_shape_code(path, value, code, where
     assert (e.value.code, e.value.path) == (code, where)
 
 
+@pytest.mark.parametrize("where", ["category", "valuations[1].target"])
+def test_an_empty_iso_cell_is_a_shape_error(where):
+    doc = fixture_doc("staircase")
+    section = doc["category"] if where == "category" else doc["valuations"][1]["target"]
+    section["iso_classes"].append([])
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(doc)
+    assert (e.value.code, e.value.path) == ("category.shape", where)
+    assert "empty cell" in e.value.detail
+
+
 # ------------------------------------------------- the scale table fast path
 
 def reference_grid_table(table, grid_len, size, path):

@@ -66,11 +66,13 @@ def test_normalization_float(ls):
 ))
 @example([Fraction(1, d) for d in (2, 3, 7, 10, 64, 2**20, 3**13, 1)] * 5)
 @example([Fraction(0)] * 20 + [Fraction(999, 1000), Fraction(1)] * 10)
+@example([0, Fraction(1, 2)])
 def test_normalization_exact(ls):
     c = pc.evolve_coefficients(ls)
     assert all(isinstance(x, Fraction) for x in c)
     assert sum(c) == 1
     m = pc.evolve_by_matrix(ls)
+    assert all(isinstance(x, Fraction) for x in m)
     assert sum(m) == 1
     assert c == m
 

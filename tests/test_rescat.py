@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import pareto_cat as pc
 
 from conftest import resource_categories
@@ -87,6 +88,77 @@ def test_violation_cap_respected():
     cat = pc.TargetCategory(6, hom, [[i] for i in range(6)])
     report = pc.validate_category(cat, max_violations=5)
     assert len(report.violations) == 5
+
+
+class CountingRows(tuple):
+    """A hom table that counts its row reads."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_checking_stops_at_the_cap():
+    # every law fails at every witness: a full check reads hom thousands of times
+    cat = pc.ResourceCategory(8, [[0] * 8] * 8, [[i] for i in range(8)], 0,
+                              [[(a + b + 1) % 8 for b in range(8)] for a in range(8)])
+    object.__setattr__(cat, "hom", CountingRows(cat.hom))
+    cat.hom.reads = 0
+    report = pc.validate_category(cat, max_violations=1)
+    assert [(v.code, v.witness) for v in report.violations] == [("rescat.hom.reflexivity", (0,))]
+    assert cat.hom.reads == 1
+
+
+@st.composite
+def broken_categories(draw):
+    """Lawful categories with one to three entries of hom, tensor, unit
+    or partition changed, or wholly random ones; targets or resource
+    categories, with classes listed in any order."""
+    def ids(size):
+        return st.integers(0, size - 1)
+
+    if draw(st.booleans()):
+        cat = draw(resource_categories(max_size=6))
+        size, unit, label = cat.size, cat.unit, list(cat.iso_class_of)
+        hom, tensor = [list(r) for r in cat.hom], [list(r) for r in cat.tensor]
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(ids(size)), draw(ids(size))
+            what = draw(st.sampled_from(["hom", "tensor", "unit", "class"]))
+            if what == "hom":
+                hom[a][b] = not hom[a][b]
+            elif what == "tensor":
+                tensor[a][b] = draw(ids(size))
+            elif what == "unit":
+                unit = a
+            else:
+                label[a] = draw(st.integers(0, size))  # may open a class of its own
+    else:
+        size = draw(st.integers(1, 6))
+        table = st.lists(st.lists(st.booleans(), min_size=size, max_size=size),
+                         min_size=size, max_size=size)
+        hom = draw(table)
+        tensor = [[draw(ids(size)) for _ in range(size)] for _ in range(size)]
+        label, unit = [draw(ids(size)) for _ in range(size)], draw(ids(size))
+    order = draw(st.permutations(sorted(set(label))))
+    cells = [[x for x in range(size) if label[x] == c] for c in order]
+    if draw(st.booleans()):
+        return pc.TargetCategory(size, hom, cells)
+    return pc.ResourceCategory(size, hom, cells, unit, tensor)
+
+
+def as_target(cat):
+    return pc.TargetCategory(cat.size, cat.hom, cat.iso_classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(resource_categories(max_size=6), resource_categories(max_size=6).map(as_target),
+                 broken_categories()))
+def test_reports_equal_the_law_by_law_oracle(cat):
+    for cap in (0, 1, 5, 50, -1, 10**6):
+        report = pc.validate_category(cat, max_violations=cap)
+        want = oracles.category_violations(cat, cap)
+        assert [(v.code, v.witness, v.message) for v in report.violations] == want
+        assert report.ok == (not want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -324,12 +324,6 @@ def test_class_vectors_on_fixtures_match_the_per_objective_numbering(all_instanc
     _check_against_per_objective_numbering(all_instances[name].system)
 
 
-def test_class_vectors_with_an_empty_iso_class_match_the_per_objective_numbering():
-    doc = fixture_doc("staircase")
-    doc["valuations"][0]["target"]["iso_classes"].append([])
-    _check_against_per_objective_numbering(pc.load_instance(doc).system)
-
-
 @settings(max_examples=60, deadline=None)
 @given(many_table_objectives())
 @example(NUMBERING_EXAMPLES[0])
