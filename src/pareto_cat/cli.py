@@ -18,12 +18,13 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParetoCatError, SamplingError
+from .errors import CapacityError, ParetoCatError, SamplingError
 from .gcpause import gc_paused
 from .instance import load_instance
 from .particle import run_particle
 from .rescat import conversion_rate
 from .scale import interleaving_distance
+from .summing import check_capacity
 from .swarm import SwarmConfig, certify_neighborhood, run_swarm
 from .valuation import minorization_mass, pareto_frontier, prime_admissibility
 
@@ -85,6 +86,10 @@ def _warn_if_empty(system) -> bool:
 def cmd_validate(args) -> int:
     inst, problems = load_instance(args.instance, cap=args.cap,
                                    use_closure=args.close_hom, strict=False)
+    try:
+        check_capacity(inst.cat.size, inst.n, inst.cap)
+    except CapacityError as e:  # ValuationSystem.validate_maps skips the check past it
+        print(f"{_PROG}: warning: valuation.iso_respect not checked: {e}", file=sys.stderr)
     doc = {
         "ok": not problems,
         "problems": [

@@ -315,35 +315,31 @@ def load_instance(source: Union[str, Path, dict], cap: int = DEFAULT_CAP,
     return inst, problems
 
 
+def _category_json(cat: TargetCategory) -> dict:
+    """The fields :func:`_build_category` reads, for either kind of category."""
+    doc = {"objects": cat.size, "hom": [[int(x) for x in row] for row in cat.hom],
+           "iso_classes": [list(c) for c in cat.iso_classes]}
+    if isinstance(cat, ResourceCategory):
+        doc.update(unit=cat.unit, tensor=[list(row) for row in cat.tensor])
+    return doc
+
+
 def emit_instance(inst: Instance) -> dict:
     """Write the instance back out; reloading reproduces it exactly."""
     doc: dict = {
         "metadata": dict(inst.metadata),
-        "category": {
-            "objects": inst.cat.size,
-            "unit": inst.cat.unit,
-            "hom": [[int(x) for x in row] for row in inst.cat.hom],
-            "iso_classes": [list(c) for c in inst.cat.iso_classes],
-            "tensor": [list(row) for row in inst.cat.tensor],
-        },
+        "category": _category_json(inst.cat),
         "system_size": inst.n,
         "valuations": [],
         "distribution": {"weights": [_weight_json(w) for w in inst.distribution.weights]},
     }
     for obj in inst.objectives:
-        v = {
-            "target": {
-                "objects": obj.target.size,
-                "hom": [[int(x) for x in row] for row in obj.target.hom],
-                "iso_classes": [list(c) for c in obj.target.iso_classes],
-            },
+        field_name = "entries" if obj.kind == "table" else "h"
+        doc["valuations"].append({
+            "target": _category_json(obj.target),
             "goal": obj.goal,
-        }
-        if obj.kind == "table":
-            v["map"] = {"kind": "table", "entries": list(obj.entries)}
-        else:
-            v["map"] = {"kind": "composed", "h": list(obj.h)}
-        doc["valuations"].append(v)
+            "map": {"kind": obj.kind, field_name: list(getattr(obj, field_name))},
+        })
     if inst.scale is not None:
         doc["scale"] = {
             "grid_len": inst.scale.grid_len,

@@ -120,29 +120,41 @@ def evolve_coefficients(lambdas: Sequence) -> tuple:
 def step_matrix(lambdas: Sequence, n: int, exact: bool = False) -> list:
     """The (n+2) x (n+1) column-stochastic step: diagonal ``1 - l_k``,
     last row ``l_k``. Maps the best-index distribution after n steps to
-    the one after n+1."""
+    the one after n+1. Every entry is a fraction when ``exact`` is set
+    or the l take the exact route (:func:`_exact`), else the l as given."""
     ls = _check_probs(lambdas)
     if n >= len(ls):
         raise PreconditionError(f"step {n} needs jump probability index {n}")
-    conv = (lambda x: x if isinstance(x, Fraction) else Fraction(x)) if exact else (lambda x: x)
+    exact = exact or _exact(ls)
     zero = Fraction(0) if exact else 0.0
     rows = [[zero] * (n + 1) for _ in range(n + 2)]
     for k in range(n + 1):
-        lk = conv(ls[k])
+        lk = Fraction(ls[k]) if exact else ls[k]
         rows[k][k] = 1 - lk
         rows[n + 1][k] = lk
     return rows
+
+
+def _matvec(m, v: list) -> list:
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def _walk(ls: Sequence, steps: int):
+    """``(None, c_0)``, then for n < ``steps`` each step matrix ``S_n`` of
+    ``ls`` with the distribution ``c_{n+1} = S_n c_n`` it leads to."""
+    c = [Fraction(1) if _exact(ls) else 1.0]
+    yield None, c
+    for n in range(steps):
+        s = step_matrix(ls, n)
+        c = _matvec(s, c)
+        yield s, c
 
 
 def evolve_by_matrix(lambdas: Sequence) -> tuple:
     """Same distribution as :func:`evolve_coefficients`, produced by
     repeated multiplication with the explicit step matrices."""
     ls = _check_probs(lambdas)
-    exact = _exact(ls)
-    c = [Fraction(1)] if exact else [1.0]
-    for n in range(len(ls)):
-        s = step_matrix(ls, n, exact=exact)
-        c = [sum(s[r][k] * c[k] for k in range(len(c))) for r in range(len(c) + 1)]
+    *_, (_, c) = _walk(ls, len(ls))
     return tuple(c)
 
 
@@ -398,7 +410,10 @@ class InducedSystem:
 def induced_system(vsys: ValuationSystem, trace: ParticleTrace, alpha: int) -> InducedSystem:
     """Requires the trace's draws to form a strict improvement chain in
     objective ``alpha``; weights come from the step matrices so that
-    stochastic consistency holds by construction."""
+    stochastic consistency holds by construction. Weights, step entries
+    and family weights are all fractions when the jump probabilities
+    take the exact route of :func:`step_matrix`, else computed from the
+    jump probabilities as given."""
     if not 0 <= alpha < len(vsys.objectives):
         raise PreconditionError(f"objective index {alpha} out of range")
     target = vsys.objectives[alpha].target
@@ -412,30 +427,15 @@ def induced_system(vsys: ValuationSystem, trace: ParticleTrace, alpha: int) -> I
             raise PreconditionError(
                 f"draws {k} -> {k + 1} are isomorphic in objective {alpha}; the chain must be strict"
             )
-    ls = list(trace.jump_probs)
-    exact = _exact(ls)
-    one = Fraction(1) if exact else 1.0
-    objects = [ProbObject([(one, imgs[0])])]
-    steps = []
-    weights = [one]
-    for n in range(len(imgs) - 1):
-        s = step_matrix(ls, n)
-        weights = [sum(s[r][k] * weights[k] for k in range(len(weights)))
-                   for r in range(len(weights) + 1)]
-        families = []
-        for k in range(n + 1):
-            stay = 1 - ls[k]
-            if float(stay) > 0:
-                families.append((k, k, (imgs[k], imgs[k]), stay))
-            if float(ls[k]) > 0:
-                families.append((n + 1, k, (imgs[k], imgs[n + 1]), ls[k]))
-        steps.append(ProbMorphism(s, families))
-        objects.append(ProbObject(list(zip(weights, imgs[: n + 2]))))
+    walk = list(_walk(trace.jump_probs, len(imgs) - 1))
     return InducedSystem(
-        objects=tuple(objects),
-        steps=tuple(steps),
+        objects=tuple(ProbObject(list(zip(c, imgs))) for _, c in walk),
+        # a family per nonzero step entry: per source k, its stay, then its jump
+        steps=tuple(ProbMorphism(s, [(r, k, (imgs[k], imgs[r]), s[r][k])
+                                     for k in range(len(s) - 1) for r in (k, len(s) - 1)
+                                     if float(s[r][k]) > 0]) for s, _ in walk[1:]),
         images=tuple(imgs),
-        jump_probs=tuple(ls),
+        jump_probs=tuple(trace.jump_probs),
     )
 
 
@@ -482,12 +482,8 @@ def verify_cocone(isys: InducedSystem, cocone: Cocone) -> bool:
     not tolerance.
     """
     for n, leg in enumerate(cocone.legs[:-1]):
-        nxt = cocone.legs[n + 1].matrix
-        step = step_matrix(isys.jump_probs, n, exact=True)
-        rows, cols = len(leg.matrix), len(leg.matrix[0])
-        for r in range(rows):
-            for k in range(cols):
-                acc = sum(Fraction(nxt[r][j]) * step[j][k] for j in range(len(step)))
-                if acc != Fraction(leg.matrix[r][k]):
-                    return False
+        cols = list(zip(*step_matrix(isys.jump_probs, n, exact=True)))
+        product = [_matvec(cols, [Fraction(x) for x in row]) for row in cocone.legs[n + 1].matrix]
+        if product != [list(row) for row in leg.matrix]:
+            return False
     return True

@@ -12,15 +12,12 @@ exactly when their normal forms match componentwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import StructureError
 
 WEIGHT_TOL = 1e-9        # component weights compared up to this
 STOCHASTIC_TOL = 1e-12   # column sums / pushforwards compared up to this
-
-Weight = Union[float, Fraction]
 
 
 def _as_fn(mapping) -> Callable:

@@ -140,27 +140,18 @@ def check_convergence(chain: Sequence[ScaleObject], eps: int, n0: int = 0) -> bo
         raise PreconditionError(f"start index {n0} out of range")
     if eps < 0:
         raise PreconditionError(f"shift must be non-negative, got {eps}")
-    for k in range(len(chain) - 1):
-        y, z = chain[k], chain[k + 1]
+    for k, (y, z) in enumerate(zip(chain, chain[1:])):
         _check_pair(y, z)
-        cls = y.base.iso_class_of
         for s in range(y.grid_len):
             if not y.base.hom[y.values[s]][z.values[s]]:
                 raise PreconditionError(
                     f"chain link {k} -> {k + 1} breaks at scale {s}: no arrow"
                 )
-        if all(cls[y.values[s]] == cls[z.values[s]] for s in range(y.grid_len)):
+        if all(map(y.base.isomorphic, y.values, z.values)):
             raise PreconditionError(
                 f"chain link {k} -> {k + 1} is not strict: isomorphic at every scale"
             )
-    limit = chain[-1]
-    for k in range(n0, len(chain) - 1):
-        y, z = chain[k], chain[k + 1]
-        hom = y.base.hom
-        for s in range(y.grid_len):
-            if not hom[z.values[s]][y.value_at(s + eps)]:
-                return False
-    for k in range(n0, len(chain)):
-        if not interleaving_distance(chain[k], limit) <= eps:
-            return False
-    return True
+    tail = chain[n0:]
+    return (all(epsilon_reversible(y, z, s, eps)
+                for y, z in zip(tail, tail[1:]) for s in range(y.grid_len))
+            and all(interleaving_distance(y, chain[-1]) <= eps for y in tail))

@@ -63,6 +63,15 @@ def test_validate_checks_map_ranges_past_the_cap(tmp_path, capsys):
             ("valuation.range", "valuations[0].map.h")]
 
 
+def test_validate_past_the_cap_says_what_it_skipped(capsys):
+    code, doc, err = run_json(capsys, ["validate", STAIRCASE])
+    assert (code, doc["ok"], err) == (0, True, "")
+    code, capped, err = run_json(capsys, ["validate", STAIRCASE, "--cap", "1"])
+    assert (code, capped) == (0, doc)
+    assert err == ("pareto-cat: warning: valuation.iso_respect not checked: "
+                   "4^2 systems exceeds cap 1\n")
+
+
 def test_missing_file_is_a_domain_error(capsys):
     code, out, err = run(capsys, ["validate", "/no/such/file.json"])
     assert code == 1

@@ -31,6 +31,19 @@ def test_load_emit_load_is_identity(name):
     assert again == inst
 
 
+@pytest.mark.parametrize("name", ["chain3", "cycle2", "staircase"])
+def test_emit_writes_the_fixture_layout(name):
+    """The writer's output is the fixture document itself, key for key;
+    only staircase's weights change notation ("1/4" is written 0.25)."""
+    doc = fixture_doc(name)
+    emitted = pc.emit_instance(pc.load_instance(doc))
+    if name == "staircase":
+        assert emitted["distribution"]["weights"] == [0.25] * 4
+        assert doc["distribution"]["weights"] == ["1/4"] * 4
+        doc["distribution"] = emitted["distribution"]
+    assert emitted == doc
+
+
 def test_save_and_reload(tmp_path, cycle2):
     p = tmp_path / "out.json"
     pc.save_instance(cycle2, p)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -436,6 +437,22 @@ def test_induced_system_weights_follow_coefficients(staircase):
     assert isys.images == (2, 1)  # capped sums of (1,1) and (0,1)
 
 
+def test_induced_system_is_exact_on_exact_jump_probs(staircase):
+    lams = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    tr = pc.ParticleTrace(draws=((0, 3), (0, 2), (0, 1)), jump_probs=lams,
+                          coeffs=pc.evolve_coefficients(lams[:2]), seed=0,
+                          acceptance_rate=1.0)
+    isys = pc.induced_system(staircase.system, tr, alpha=0)
+    assert len(isys.objects) == 3
+    for n, obj in enumerate(isys.objects):
+        assert all(type(w) is Fraction for w in obj.weights)
+        assert obj.weights == pc.evolve_by_matrix(lams[:n])
+    assert isys.objects[2].weights == (Fraction(4, 9), Fraction(4, 15), Fraction(13, 45))
+    for step in isys.steps:
+        assert all(type(x) is Fraction for row in step.matrix for x in row)
+        assert all(type(f[3]) is Fraction for f in step.families)
+
+
 def test_induced_system_morphisms_validate(staircase):
     tr = _strict_trace(staircase)
     isys = pc.induced_system(staircase.system, tr, alpha=0)
@@ -478,6 +495,14 @@ def test_cocone_identity_and_verification(staircase):
         pc.induced_cocone(isys, [3], target)  # no arrow 1 -> 3
     with pytest.raises(pc.PreconditionError):
         pc.induced_cocone(isys, [], target)
+
+
+def test_verify_cocone_refuses_an_incompatible_leg(staircase):
+    tr = _strict_trace(staircase)
+    isys = pc.induced_system(staircase.system, tr, alpha=0)
+    cocone = pc.induced_cocone(isys, [1, 0], staircase.objectives[0].target)
+    point = pc.ProbMorphism([[1], [0]], [(0, 0, (isys.images[0], 1), 1)])
+    assert not pc.verify_cocone(isys, replace(cocone, legs=(point,) + cocone.legs[1:]))
 
 
 def test_collapsed_tip_is_point_mass(staircase):
