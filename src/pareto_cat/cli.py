@@ -19,14 +19,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import CapacityError, ParetoCatError, SamplingError
-from .gcpause import gc_paused
 from .instance import load_instance
 from .particle import run_particle
 from .rescat import conversion_rate
 from .scale import interleaving_distance
 from .summing import check_capacity
 from .swarm import SwarmConfig, certify_neighborhood, run_swarm
-from .valuation import minorization_mass, pareto_frontier, prime_admissibility
+from .valuation import minorization_mass, pareto_frontier
 
 _PROG = "pareto-cat"
 
@@ -36,8 +35,7 @@ def _emit(doc: dict, out: str | None, csv_rows=None, csv_header=None) -> None:
     if as_csv and csv_rows is None:
         raise ParetoCatError(f"CSV output is not available for this command: {out}")
     if not as_csv:
-        with gc_paused():
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if out is None:
             sys.stdout.write(text)
             return
@@ -76,7 +74,7 @@ def _parse_tuple(text: str, n: int, k: int) -> tuple:
 
 
 def _warn_if_empty(system) -> bool:
-    if not any(system.admissible_flags):
+    if not system.admissible_mask.any():
         print(f"{_PROG}: warning: no admissible systems, admissible mass is zero",
               file=sys.stderr)
         return True
@@ -106,7 +104,6 @@ def cmd_validate(args) -> int:
 
 def cmd_frontier(args) -> int:
     inst = _load(args)
-    prime_admissibility(inst.system, threads=args.threads)
     _warn_if_empty(inst.system)
     result = pareto_frontier(inst.system)
 
@@ -123,7 +120,6 @@ def cmd_frontier(args) -> int:
 
 def cmd_lambda(args) -> int:
     inst = _load(args)
-    prime_admissibility(inst.system, threads=args.threads)
     _warn_if_empty(inst.system)
     phi = _parse_tuple(args.system, inst.n, inst.cat.size)
     mass = minorization_mass(inst.system, inst.distribution, phi, exact=args.exact)
@@ -153,7 +149,6 @@ def cmd_particle(args) -> int:
 
 def cmd_swarm(args) -> int:
     inst = _load(args)
-    prime_admissibility(inst.system, threads=args.threads)
     if _warn_if_empty(inst.system):
         raise SamplingError("cannot sample: no admissible systems", 0.0)
     seed = _seed(args)
@@ -182,9 +177,6 @@ def cmd_interleave(args) -> int:
     inst = _load(args)
     if inst.scale is None:
         raise ParetoCatError("instance has no scale section")
-    n_alpha = len(inst.objectives)
-    if not 0 <= args.alpha < n_alpha:
-        raise ParetoCatError(f"alpha must be in 0..{n_alpha - 1}")
     phi = _parse_tuple(args.first, inst.n, inst.cat.size)
     psi = _parse_tuple(args.second, inst.n, inst.cat.size)
     d = interleaving_distance(inst.scaled_image(args.alpha, phi),
@@ -201,9 +193,6 @@ def cmd_interleave(args) -> int:
 
 def cmd_rate(args) -> int:
     inst = _load(args)
-    k = inst.cat.size
-    if not (0 <= args.a < k and 0 <= args.b < k):
-        raise ParetoCatError(f"object ids must be in 0..{k - 1}")
     r = conversion_rate(inst.cat, args.a, args.b, n_max=args.n_max)
     doc = {"a": args.a, "b": args.b, "n_max": args.n_max,
            "rate": None if r is None else str(r)}

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LoadError, StructureError
+from .errors import LoadError, PreconditionError, StructureError
 from .gcpause import gc_paused
 from .rescat import ResourceCategory, TargetCategory, _check_shape, close_hom, validate_category
 from .scale import ScaleObject, first_bad_row
@@ -76,9 +76,12 @@ class Instance:
         return ValuationSystem(cat=self.cat, n=self.n, objectives=self.objectives, cap=self.cap)
 
     def scaled_image(self, alpha: int, values: Sequence[int]) -> ScaleObject:
-        """The scale-indexed image of a system in one objective."""
+        """The scale-indexed image of a system in one objective; raises
+        :class:`PreconditionError` for an ``alpha`` out of range."""
         if self.scale is None:
             raise LoadError("scale.missing", "scale", "instance has no scale section")
+        if not 0 <= alpha < len(self.objectives):
+            raise PreconditionError(f"alpha must be in 0..{len(self.objectives) - 1}")
         rank = self.system.rank(values)
         target = self.objectives[alpha].target
         return ScaleObject(target, self.scale.tables[alpha][rank].tolist())

@@ -207,8 +207,12 @@ def conversion_rate(
     Scans all 1 <= m, n <= n_max against precomputed tensor powers and
     returns the maximum as an exact fraction, or None when no pair of
     powers is convertible. The true rate is a supremum; this is its
-    bounded-window approximation and is monotone in ``n_max``.
+    bounded-window approximation and is monotone in ``n_max``. An object
+    id out of range raises :class:`StructureError`, ``n_max < 1``
+    :class:`PreconditionError`.
     """
+    if not (0 <= a < cat.size and 0 <= b < cat.size):
+        raise StructureError(f"object id out of range: ({a},{b})")
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
     pow_a, pow_b = (list(accumulate(repeat(x, n_max), cat.tens)) for x in (a, b))

@@ -306,6 +306,12 @@ def minorizes(system: ValuationSystem, phi: Sequence[int], psi: Sequence[int],
     return bool((c.strict if strict else c.arrows)[u, v])
 
 
+def _admissible_ranks(system: ValuationSystem, keep: np.ndarray) -> np.ndarray:
+    """Ascending ranks of the admissible systems whose image-class vector
+    id the bool mask ``keep`` marks."""
+    return np.flatnonzero(system.admissible_mask & keep[system.image_class_vectors.ids])
+
+
 def _improving_ranks(system: ValuationSystem, phi: Sequence[int]) -> np.ndarray:
     """Ascending ranks of the admissible systems strictly improving on
     admissible ``phi``."""
@@ -313,7 +319,7 @@ def _improving_ranks(system: ValuationSystem, phi: Sequence[int]) -> np.ndarray:
     if not system.admissible_mask[rp]:
         raise PreconditionError(f"system {tuple(phi)} is not admissible")
     c = system.image_class_vectors
-    return np.flatnonzero(system.admissible_mask & c.strict[c.ids[rp]][c.ids])
+    return _admissible_ranks(system, c.strict[c.ids[rp]])
 
 
 def strict_minorization_set(system: ValuationSystem, phi: Sequence[int]) -> list:
@@ -388,28 +394,24 @@ class FrontierResult:
         }
 
 
-def _kept_ranks(system: ValuationSystem, terminal) -> np.ndarray:
-    """Ascending ranks of the admissible systems whose image-class vector
-    ``terminal`` keeps, given the strict-arrow matrix between the
-    admissible vectors."""
-    c = system.image_class_vectors
-    mask = system.admissible_mask
-    present = np.flatnonzero(np.bincount(c.ids[mask], minlength=len(c.arrows)))
-    kept = np.zeros(len(c.arrows), dtype=bool)
-    kept[present[terminal(c.strict[present][:, present])]] = True
-    return np.flatnonzero(mask & kept[c.ids])
-
-
 def frontier_ranks(system: ValuationSystem) -> np.ndarray:
     """Ascending ranks of the admissible systems with an empty strict
-    improvement set."""
-    return _kept_ranks(system, lambda strict: ~strict.any(axis=1))
+    improvement set: their class vector is present among the admissible
+    systems and has no strict arrow to a present one."""
+    c = system.image_class_vectors
+    present = np.bincount(c.ids[system.admissible_mask], minlength=len(c.arrows)) > 0
+    return _admissible_ranks(system, present & ~c.strict[:, present].any(axis=1))
 
 
-def _frontier(system: ValuationSystem, ranks: np.ndarray) -> FrontierResult:
-    """The systems at ``ranks`` (ascending) grouped by componentwise iso
-    class; lexicographically least member represents the group; groups
-    sorted by representative."""
+def pareto_frontier(system: ValuationSystem) -> FrontierResult:
+    """Admissible systems with an empty strict improvement set.
+
+    Works on distinct image-class vectors (improvement only reads iso
+    classes of images), then expands back to member systems grouped by
+    componentwise iso class: the lexicographically least member
+    represents its group, and groups are sorted by representative.
+    """
+    ranks = frontier_ranks(system)
     _, leader, group = np.unique(system.iso_representatives[ranks],
                                  return_index=True, return_inverse=True)
     order = np.argsort(leader[group], kind="stable")
@@ -421,26 +423,15 @@ def _frontier(system: ValuationSystem, ranks: np.ndarray) -> FrontierResult:
     )
 
 
-def pareto_frontier(system: ValuationSystem) -> FrontierResult:
-    """Admissible systems with an empty strict improvement set.
-
-    Works on distinct image-class vectors (improvement only reads iso
-    classes of images), then expands back to member systems grouped by
-    componentwise iso class.
-    """
-    return _frontier(system, frontier_ranks(system))
-
-
 def frontier_via_chains(system: ValuationSystem) -> FrontierResult:
     """The frontier as terminal elements of the improvement digraph.
 
-    Keeps the admissible image-class vectors of out-degree zero in the
-    strict-arrow digraph. It reads the same class table as
-    :func:`pareto_frontier`, so it checks the graph reading of the
-    frontier, not the table; ``tests/oracles.py`` is the independent
+    On the class table, "terminal in the strict-improvement digraph" and
+    "empty strict improvement set" are one condition, so this is
+    :func:`pareto_frontier`; ``tests/oracles.py`` is the independent
     route.
     """
-    return _frontier(system, _kept_ranks(system, lambda strict: strict.sum(axis=1) == 0))
+    return pareto_frontier(system)
 
 
 class ImprovementChains:

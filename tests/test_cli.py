@@ -299,6 +299,13 @@ def test_rate(capsys):
     assert code == 1
 
 
+def test_out_of_range_alpha_and_object_ids_are_one_error_line(capsys):
+    assert run(capsys, ["rate", CHAIN3, "9", "1"]) == (
+        1, "", "pareto-cat: error: object id out of range: (9,1)\n")
+    assert run(capsys, ["interleave", STAIRCASE, "1,1", "0,1", "--alpha", "-1"]) == (
+        1, "", "pareto-cat: error: alpha must be in 0..1\n")
+
+
 # ------------------------------------------------------------ shared paths
 
 def test_csv_unsupported_for_scalar_commands(tmp_path, capsys):

@@ -266,6 +266,19 @@ def test_scaled_image_requires_scale_section():
     assert code_of(e) == "scale.missing"
 
 
+def test_scaled_image_checks_alpha(staircase):
+    for alpha in (-1, len(staircase.objectives)):
+        with pytest.raises(pc.PreconditionError, match=r"^alpha must be in 0\.\.1$"):
+            staircase.scaled_image(alpha, (0, 1))
+
+
+def test_validate_reports_an_unknown_map_kind(staircase):
+    """A map kind the loader would refuse, built in code, is a law-phase record."""
+    objectives = (staircase.objectives[0], replace(staircase.objectives[1], kind="affine"))
+    problems = pc.validate_instance(replace(staircase, objectives=objectives))
+    assert [(p.code, p.path) for p in problems] == [("valuation.kind", "valuations[1].map.kind")]
+
+
 def test_cap_defers_to_first_enumeration():
     inst = pc.build_instance(fixture_doc("chain3"), cap=4)
     with pytest.raises(pc.CapacityError) as e:

@@ -145,6 +145,24 @@ def test_lift_functor_and_commutation():
     assert pc.prob_isomorphic(a, b, CLS)
 
 
+def test_lift_morphism_validates_between_lifted_endpoints():
+    below = lambda a, b: a <= b  # the chains 0 <= 1 <= ... as preorders
+    src = pc.ProbObject([(0.5, 0), (0.5, 2)])
+    dst = pc.ProbObject([(0.25, 1), (0.75, 3)])
+    m = pc.ProbMorphism([[0.5, 0.0], [0.5, 1.0]],
+                        [(0, 0, (0, 1), 0.5), (1, 0, (0, 3), 0.5), (1, 1, (2, 3), 1.0)])
+    assert m.validate(src, dst, below) == []
+    h = [0, 0, 1, 1, 2]  # monotone onto a 3-chain
+    lifted = pc.lift_morphism(h, m)
+    assert [f[2] for f in lifted.families] == [(0, 0), (0, 1), (1, 1)]
+    assert lifted.validate(pc.lift_functor(h, src), pc.lift_functor(h, dst), below) == []
+    # a map that reverses an arrow is no functor: its lift names an empty hom
+    flip = [1, 0, 1, 1, 2]
+    msgs = pc.lift_morphism(flip, m).validate(pc.lift_functor(flip, src),
+                                              pc.lift_functor(flip, dst), below)
+    assert msgs == ["tag (1, 0) names an empty hom set"]
+
+
 def test_apply_prob_functor_weights():
     # mixture of two object maps applied to a mixture of objects
     f1, f2 = (1, 1), (2, 1)  # index-as-mapping

@@ -209,6 +209,12 @@ def test_conversion_rate_on_chain():
     assert pc.conversion_rate(two, 0, 1) is None
 
 
+def test_conversion_rate_checks_object_ids():
+    for a, b in ((-1, 1), (4, 1), (1, -1), (1, 4)):
+        with pytest.raises(pc.StructureError, match=rf"^object id out of range: \({a},{b}\)$"):
+            pc.conversion_rate(CHAIN4, a, b)
+
+
 def test_conversion_rate_monotone_in_window():
     r8 = pc.conversion_rate(CHAIN4, 1, 1, n_max=8)
     r16 = pc.conversion_rate(CHAIN4, 1, 1, n_max=16)
