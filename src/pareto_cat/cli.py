@@ -175,8 +175,6 @@ def cmd_certify(args) -> int:
 
 def cmd_interleave(args) -> int:
     inst = _load(args)
-    if inst.scale is None:
-        raise ParetoCatError("instance has no scale section")
     phi = _parse_tuple(args.first, inst.n, inst.cat.size)
     psi = _parse_tuple(args.second, inst.n, inst.cat.size)
     d = interleaving_distance(inst.scaled_image(args.alpha, phi),

@@ -15,15 +15,15 @@ class ParetoCatError(Exception):
 class StructureError(ParetoCatError):
     """Malformed data: dimension mismatch, ragged table, out-of-range id.
 
-    Distinct from :class:`InvariantViolation`: structure must be sound
-    before invariants are even checkable.
+    Structure must be sound before laws are even checkable; law checks
+    return ``Violation`` records instead of raising.
     """
 
 
 class InvariantViolation(ParetoCatError):
-    """A validated structure failed one of its laws.
-
-    Carries the list of :class:`Violation` records from the failed check.
+    """A failed law, for callers that raise one: the package itself returns
+    ``Violation`` records, which this carries, and the loader raises
+    :class:`LoadError`.
     """
 
     def __init__(self, message: str, violations=()):

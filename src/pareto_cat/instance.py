@@ -22,21 +22,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import LoadError, PreconditionError, StructureError
-from .gcpause import gc_paused
 from .rescat import ResourceCategory, TargetCategory, _check_shape, close_hom, validate_category
 from .scale import ScaleObject, first_bad_row
 from .summing import DEFAULT_CAP, count_within
-from .valuation import Objective, ObjectDistribution, ValuationSystem
-
-
-def _parse_weight(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    try:
-        return Fraction(str(x))
-    except ValueError:
-        raise LoadError("distribution.shape", "distribution.weights",
-                        f"weight {x!r} is not a number")
+from .valuation import Objective, ObjectDistribution, ValuationSystem, gc_paused
 
 
 def _weight_json(w: Fraction):
@@ -45,7 +34,7 @@ def _weight_json(w: Fraction):
     if w.denominator == 1:
         return int(w)
     f = float(w)
-    if _parse_weight(repr(f)) == w:
+    if Fraction(repr(f)) == w:
         return f
     return f"{w.numerator}/{w.denominator}"
 
@@ -226,7 +215,7 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
     dw = ddoc.get("weights") if isinstance(ddoc, dict) else None
     if not isinstance(dw, list):
         raise LoadError("distribution.shape", "distribution.weights", "weights must be a list")
-    dist = ObjectDistribution([_parse_weight(w) for w in dw])
+    dist = ObjectDistribution(dw)
 
     scale = None
     if "scale" in doc and doc["scale"] is not None:
@@ -292,7 +281,7 @@ def _read(source):
         return source
     try:
         return json.loads(Path(source).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise LoadError("parse.json", str(source), str(e))
     except OSError as e:
         raise LoadError("parse.io", str(source), str(e))

@@ -123,8 +123,8 @@ def step_matrix(lambdas: Sequence, n: int, exact: bool = False) -> list:
     the one after n+1. Every entry is a fraction when ``exact`` is set
     or the l take the exact route (:func:`_exact`), else the l as given."""
     ls = _check_probs(lambdas)
-    if n >= len(ls):
-        raise PreconditionError(f"step {n} needs jump probability index {n}")
+    if not 0 <= n < len(ls):
+        raise PreconditionError(f"step {n} out of range for {len(ls)} jump probabilities")
     exact = exact or _exact(ls)
     zero = Fraction(0) if exact else 0.0
     rows = [[zero] * (n + 1) for _ in range(n + 2)]
@@ -158,6 +158,14 @@ def evolve_by_matrix(lambdas: Sequence) -> tuple:
     return tuple(c)
 
 
+def _simulation(lambdas: Sequence, trials: int, seed: Optional[int]) -> tuple:
+    """Float jump probabilities and a generator for ``trials`` simulated runs."""
+    ls = [float(l) for l in _check_probs(lambdas)]
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+    return ls, np.random.default_rng(seed)
+
+
 def markov_oracle(lambdas: Sequence, trials: int = 10**6,
                   seed: Optional[int] = 0) -> np.ndarray:
     """Empirical best-index distribution from simulating the jump chain.
@@ -166,11 +174,8 @@ def markov_oracle(lambdas: Sequence, trials: int = 10**6,
     one binomial split per occupied state and step; this is identical in
     law to simulating each trial separately and merging by summation.
     """
-    ls = [float(l) for l in _check_probs(lambdas)]
+    ls, gen = _simulation(lambdas, trials, seed)
     n = len(ls)
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    gen = np.random.default_rng(seed)
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = trials
     for t in range(1, n + 1):
@@ -192,9 +197,8 @@ def jump_pattern_frequencies(lambdas: Sequence, trials: int = 10**6,
     indices); the same binomial aggregation as :func:`markov_oracle`,
     tracking whole paths instead of final states.
     """
-    ls = [float(l) for l in _check_probs(lambdas)]
+    ls, gen = _simulation(lambdas, trials, seed)
     n = len(ls)
-    gen = np.random.default_rng(seed)
     paths = {(): trials}
     for t in range(1, n + 1):
         nxt: dict = {}
@@ -226,8 +230,8 @@ def chain_probability(lambdas: Sequence, chain: Sequence[int], n: int):
         raise PreconditionError(f"jump times must be strictly increasing: {times}")
     if times and (times[0] < 1 or times[-1] > n):
         raise PreconditionError(f"jump times must lie in 1..{n}")
-    if n > len(ls):
-        raise PreconditionError(f"{n} steps need {n} jump probabilities, got {len(ls)}")
+    if not 0 <= n <= len(ls):
+        raise PreconditionError(f"{n} steps out of range for {len(ls)} jump probabilities")
     prob = 1
     state = 0
     prev = 0
@@ -236,8 +240,6 @@ def chain_probability(lambdas: Sequence, chain: Sequence[int], n: int):
         state, prev = t, t
     if state < len(ls):
         prob *= (1 - ls[state]) ** (n - prev)
-    elif n != prev:
-        raise PreconditionError("final state has no jump probability for its stay factors")
     return prob
 
 
@@ -306,7 +308,7 @@ def _draw_block(system: ValuationSystem, w: np.ndarray, gen: np.random.Generator
     values from ``gen``, and leaves it in the same state, as ``rows``
     calls of shape ``n``."""
     k, n = system.cat.size, system.n
-    block = gen.choice(k, size=(rows, n), p=w) if n else np.zeros((rows, 0), dtype=np.int64)
+    block = gen.choice(k, size=(rows, n), p=w)
     ok = system.admissible_mask[block @ k ** np.arange(n - 1, -1, -1)]
     return list(zip(map(tuple, block.tolist()), ok.tolist()))[::-1]
 

@@ -155,3 +155,56 @@ def check_convergence(chain: Sequence[ScaleObject], eps: int, n0: int = 0) -> bo
     return (all(epsilon_reversible(y, z, s, eps)
                 for y, z in zip(tail, tail[1:]) for s in range(y.grid_len))
             and all(interleaving_distance(y, chain[-1]) <= eps for y in tail))
+
+
+class _ScaleTables:
+    """The instance's scale tables read by rank, for one shift ``eps``.
+
+    Per objective, the ``(systems, grid_len)`` int table and its target's
+    hom matrix. Every row is checked once, as :class:`ScaleObject` checks
+    one, so a hand-built instance fails with the same
+    :class:`StructureError`. Reversibility is memoised per rank pair.
+    """
+
+    def __init__(self, inst: "Instance", eps: int):
+        if inst.scale is None:
+            raise PreconditionError("this query needs the instance's scale section")
+        if eps < 0:
+            raise PreconditionError(f"epsilon must be non-negative, got {eps}")
+        self.objectives = []
+        for table, obj in zip(inst.scale.tables, inst.objectives):
+            bad = first_bad_row(table, obj.target.hom)
+            if bad:
+                raise StructureError(bad[2])
+            t = np.asarray(table, dtype=np.int64)
+            hom = np.asarray(obj.target.hom, dtype=bool)
+            top = t.shape[1] - 1
+            # row e, for e = 0..min(eps, top): grid point s advanced by e
+            # steps, the last value repeating; the last row is the eps shift
+            shifts = np.minimum(np.arange(top + 1) + np.arange(min(eps, top) + 1)[:, None], top)
+            self.objectives.append((t, hom, shifts))
+        self.memo: dict = {}  # (src, dst) rank pair -> reversible(src, dst)
+
+    def reversible(self, src: int, dst: int) -> bool:
+        """All objectives: the scaled conversion src -> dst exists at every
+        scale and can be reversed after ``eps`` coarsening steps.
+
+        A missing scaled conversion counts as not reversible rather than
+        an error: the flag test is advisory and simply fails."""
+        key = (src, dst)
+        if key not in self.memo:
+            self.memo[key] = all(
+                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
+                for t, hom, shifts in self.objectives)
+        return self.memo[key]
+
+    def near(self, rank: int, members: np.ndarray) -> np.ndarray:
+        """Per member rank: within interleaving distance ``eps`` of
+        ``rank`` in every objective, i.e. ``e``-interleaved for some
+        ``e`` in ``0..min(eps, grid_len - 1)``."""
+        out = np.ones(len(members), dtype=bool)
+        for t, hom, shifts in self.objectives:
+            y, z = t[rank], t[members]
+            mutual = hom[y, z[:, shifts]] & hom[z[:, None, :], y[shifts]]
+            out &= mutual.all(axis=2).any(axis=1)
+        return out

@@ -16,8 +16,10 @@ between the distinct image-class vectors.
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,9 +28,28 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, LoadError, PreconditionError
-from .gcpause import gc_paused
 from .rescat import ResourceCategory, TargetCategory
 from .summing import DEFAULT_CAP, check_capacity, count_functors, count_within, tuple_rank
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic collector for the block (or, as a decorator, the
+    call), then restore its prior state, on or off, also on an exception.
+
+    Parsing a large instance or building a large result document allocates
+    hundreds of thousands of lists, none of them garbage. Each allocation
+    burst triggers collections that walk every one of them, which costs as
+    much as the parsing itself. While the collector is paused, reference
+    counting still frees everything that is not part of a reference cycle;
+    cycles wait for the next collection after the pause.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @dataclass(frozen=True)
@@ -55,15 +76,24 @@ class Objective:
 class ObjectDistribution:
     """Strictly positive weights on resource objects, summing to one.
 
-    Weights are kept as exact fractions; ``as_floats`` is the double view
-    used on the fast paths. Induces the product measure on systems.
+    Weights are kept as exact fractions (a string weight is ``"p/q"`` or a
+    decimal without an exponent); ``as_floats`` is the double view used on
+    the fast paths. Induces the product measure on systems.
     """
 
     weights: tuple
 
     def __init__(self, weights: Sequence[Union[Fraction, float, int, str]]):
-        ws = tuple(w if isinstance(w, Fraction) else Fraction(str(w)) for w in weights)
-        object.__setattr__(self, "weights", ws)
+        ws = []
+        for w in weights:
+            try:  # the exponent of "1e999999999" would build a billion-digit integer
+                if isinstance(w, str) and "e" in w.lower():
+                    raise ValueError(w)
+                ws.append(w if isinstance(w, Fraction) else Fraction(str(w)))
+            except (ValueError, ZeroDivisionError):
+                raise LoadError("distribution.shape", "distribution.weights",
+                                f"weight {w!r} is not a number or \"p/q\"") from None
+        object.__setattr__(self, "weights", tuple(ws))
 
     def validate(self, k: int, tol: float = 1e-12) -> None:
         if len(self.weights) != k:
@@ -72,9 +102,11 @@ class ObjectDistribution:
         if any(w <= 0 for w in self.weights):
             raise LoadError("distribution.positive", "distribution.weights",
                             "all weights must be strictly positive")
-        if abs(float(sum(self.weights)) - 1.0) > tol:
+        total = sum(self.weights)
+        total = float(total) if total < 1e308 else math.inf  # float() overflows past ~1.8e308
+        if abs(total - 1.0) > tol:
             raise LoadError("distribution.sum", "distribution.weights",
-                            f"weights sum to {float(sum(self.weights))!r}, not 1")
+                            f"weights sum to {total!r}, not 1")
 
     @cached_property
     def as_floats(self) -> np.ndarray:
@@ -285,7 +317,7 @@ def images_of(system: ValuationSystem, values: Sequence[int]) -> tuple:
 
 def admissible(system: ValuationSystem, values: Sequence[int]) -> bool:
     """True when every objective's image converts into its goal."""
-    return system.admissible_flags[system.rank(values)]
+    return bool(system.admissible_mask[system.rank(values)])
 
 
 def prime_admissibility(system: ValuationSystem, threads: int = 1) -> tuple:
@@ -533,11 +565,9 @@ def longest_strict_chains(system: ValuationSystem, draws: Sequence[Sequence[int]
     related by strict improvement (later draw improves on the earlier).
     Returns every longest chain as a tuple of indices, sorted.
     """
-    draws = [tuple(d) for d in draws]
-    for d in draws:
+    chains = ImprovementChains(system)
+    for d in map(tuple, draws):
         if not admissible(system, d):
             raise PreconditionError(f"draw {d} is not admissible")
-    chains = ImprovementChains(system)
-    for d in draws:
         chains.add(d)
     return chains.all_longest()

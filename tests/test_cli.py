@@ -366,6 +366,36 @@ def test_empty_admissible_warning_and_failures(tmp_path, capsys):
     assert "admissible mass is zero" in err
 
 
+def test_swarm_on_an_empty_admissible_set_is_one_domain_error(tmp_path, capsys):
+    doc = fixture_doc("chain3")
+    doc["valuations"][0]["map"]["h"] = [0, 0, 0, 0]
+    doc["valuations"][0]["goal"] = 2  # no arrow 0 -> 2
+    p = tmp_path / "void.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["swarm", str(p), "--particles", "2", "--draws", "2",
+                                  "--seed", "1"])
+    assert code == 1 and out == ""
+    assert "admissible mass is zero" in err
+    assert err.endswith("pareto-cat: error: cannot sample: no admissible systems\n")
+
+
+def test_queries_without_a_scale_section_name_it(tmp_path, capsys):
+    doc = fixture_doc("chain3")
+    doc.pop("scale")
+    p = tmp_path / "unscaled.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["interleave", str(p), "1,1", "0,1"])
+    assert code == 1 and out == ""
+    assert err.startswith("pareto-cat: error: scale.missing at scale: ")
+    messages = set()
+    for argv in (["swarm", str(p), "--particles", "2", "--draws", "2", "--seed", "1"],
+                 ["certify", str(p), "1,1", "--epsilon", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        messages.add(err)
+    assert messages == {"pareto-cat: error: this query needs the instance's scale section\n"}
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frontier"])  # missing instance path

@@ -256,6 +256,14 @@ def test_admissible_mass_values(chain3, cycle2, staircase):
     assert staircase.admissible_mass(exact=True) == Fraction(15, 16)
 
 
+def test_validate_reports_a_target_category_law_by_its_objective():
+    doc = fixture_doc("chain3")
+    doc["valuations"][0]["target"]["hom"][2][0] = 0  # 2 -> 1 -> 0 without 2 -> 0
+    _, problems = pc.load_instance(doc, strict=False)
+    assert ("rescat.hom.transitivity", "valuations[0].target") in {
+        (p.code, p.path) for p in problems}
+
+
 def test_scaled_image_requires_scale_section():
     doc = fixture_doc("chain3")
     doc.pop("scale")

@@ -5,7 +5,9 @@ import copy
 import gc
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -173,12 +175,47 @@ def test_to_dict_and_emission_leave_the_collector_as_they_found_it(chain3, gc_st
     assert json.loads(capsys.readouterr().out) == result.to_dict()
 
 
+# ----------------------------------------------------------------- weights
+
+@pytest.mark.parametrize("weight, code", [
+    ("1/0", "distribution.shape"), ("0/0", "distribution.shape"),
+    ("1e10000000", "distribution.shape"), ("1e999999999", "distribution.shape"),
+    (10**400, "distribution.sum"),
+], ids=["1/0", "0/0", "1e10000000", "1e999999999", "10**400"])
+def test_unreadable_weights_fail_fast_with_a_load_error(tmp_path, capsys, weight, code):
+    """A string weight is "p/q" or a decimal without an exponent: no
+    division by zero, no billion-digit integer, and no float overflow
+    when a huge integer weight is summed."""
+    doc = fixture_doc("chain3")
+    doc["distribution"]["weights"][0] = weight
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    t0 = perf_counter()
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(p)
+    assert perf_counter() - t0 < 1
+    assert (e.value.code, e.value.path) == (code, "distribution.weights")
+    assert main(["validate", str(p)]) == 1  # a shape error on stderr, a law in the report
+    printed = capsys.readouterr()
+    assert code in printed.out + printed.err
+
+
+def test_object_distribution_reads_every_weight_or_raises_load_error():
+    assert pc.ObjectDistribution(["1/3", "0.25", 0.4, 2, Fraction(1, 7)]).weights == (
+        Fraction(1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(2), Fraction(1, 7))
+    for bad in ("abc", "1/0", "1e5", "1E-3", None, True):
+        with pytest.raises(pc.LoadError) as e:
+            pc.ObjectDistribution([bad])
+        assert e.value.code == "distribution.shape"
+
+
 # ------------------------------------------------------------------ the fuzz
 
 # values that sit on an edge of some field's rule, drawn more often than
 # the general strategies would draw them
-edge_values = st.sampled_from([0, 1, -1, 2**31, 2**63, -2**63 - 1, 2**70, 0.5, 1.0, 1e308,
-                               math.inf, -math.inf, math.nan, "1", "1/3", "", True, False])
+edge_values = st.sampled_from([0, 1, -1, 2**31, 2**63, -2**63 - 1, 2**70, 10**400, 0.5, 1.0,
+                               1e308, math.inf, -math.inf, math.nan, "1", "1/3", "1/0",
+                               "1e999999999", "", True, False])
 
 json_values = st.recursive(
     edge_values | st.none() | st.booleans() | st.integers() | st.floats() | texts,
@@ -199,8 +236,9 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
-                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000,
+                                  b'{"metadata": {"n": ' + b"9" * 5000 + b"}}"],
+                         ids=["not-utf8", "too-deep", "too-many-digits"])
 def test_unreadable_text_is_a_parse_error(tmp_path, data):
     p = tmp_path / "doc.json"
     p.write_bytes(data)

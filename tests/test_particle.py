@@ -232,6 +232,27 @@ def test_estimate_frozen_examples():
     assert pc.check_estimate([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("diag", [(1, 0.1, 0.9), (1, 0.9, 0.1)], ids=["upper", "lower"])
+def test_estimate_refuses_a_diagonal_that_breaks_a_bound(diag):
+    """c_2^2 = 0.9 exceeds c_1^1 = 0.1; c_1^1 (1 - l_0) = 0.45 exceeds c_2^2 = 0.1."""
+    assert pc.check_estimate([0.5, 0.5]) and not pc.check_estimate([0.5, 0.5], diag)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pc.step_matrix([0.5, 0.25], -1),
+    lambda: pc.step_matrix([0.5, 0.25], 2),
+    lambda: pc.chain_probability([0.5, 0.25], [], -1),
+    lambda: pc.chain_probability([0.5, 0.25], [], 3),
+    lambda: pc.jump_pattern_frequencies([0.5, 0.25], trials=0),
+    lambda: pc.jump_pattern_frequencies([0.5, 0.25], trials=-3),
+    lambda: pc.markov_oracle([0.5, 0.25], trials=0),
+], ids=["step-negative", "step-past-end", "chain-negative-steps", "chain-too-many-steps",
+        "patterns-no-trials", "patterns-negative-trials", "oracle-no-trials"])
+def test_jump_chain_counts_out_of_range_are_refused(call):
+    with pytest.raises(pc.PreconditionError):
+        call()
+
+
 def test_tv_distance():
     assert pc.tv_distance([1, 0], [0, 1]) == pytest.approx(1.0)
     assert pc.tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
@@ -481,6 +502,16 @@ def test_induced_system_requires_strict_chain(staircase):
     )
     with pytest.raises(pc.PreconditionError):
         pc.induced_system(staircase.system, bad, alpha=0)
+
+
+def test_induced_system_refuses_a_bad_objective_and_an_isomorphic_link(staircase):
+    tr = _strict_trace(staircase)
+    for alpha in (-1, len(staircase.objectives)):
+        with pytest.raises(pc.PreconditionError, match="objective index"):
+            pc.induced_system(staircase.system, tr, alpha=alpha)
+    still = replace(tr, draws=(tr.draws[0], tr.draws[0]))  # an arrow, but not a strict one
+    with pytest.raises(pc.PreconditionError, match="isomorphic"):
+        pc.induced_system(staircase.system, still, alpha=0)
 
 
 def test_cocone_identity_and_verification(staircase):

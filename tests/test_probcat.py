@@ -126,6 +126,17 @@ def test_morphism_validation_catches_family_mismatch():
     assert any("famil" in m_ for m_ in msgs)
 
 
+def test_morphism_validation_catches_shape_range_and_unwitnessed_entries():
+    src = pc.ProbObject([(0.5, 1), (0.5, 2)])
+    dst = pc.ProbObject([(1.0, 1)])
+    hom = lambda a, b: True
+    assert pc.ProbMorphism([[1.0]], []).validate(src, dst, hom) == ["matrix must be 1x2"]
+    m = pc.ProbMorphism([[1.0, 1.0]], [(0, 0, (1, 1), 1.0), (1, 1, (2, 1), 1.0)])
+    msgs = m.validate(src, dst, hom)
+    assert "family entry (1,1) out of range" in msgs
+    assert "positive entry (0,1) has no witnessing family" in msgs
+
+
 def test_morphism_validation_flags_empty_hom():
     src = pc.ProbObject([(1.0, 0)])
     dst = pc.ProbObject([(1.0, 1)])
