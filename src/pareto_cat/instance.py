@@ -113,12 +113,6 @@ def _int_rows(rows, code: str, path: str, what: str) -> list:
     return [tuple(_int(x, code, path, what) for x in row) for row in rows]
 
 
-def _bool_table(rows, path: str) -> list:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise LoadError("category.shape", path, "hom must be a list of lists")
-    return [[bool(x) for x in r] for r in rows]
-
-
 def _build_category(doc, path: str, use_closure: bool, resource: bool = False):
     """A target category from its ``objects``, ``hom`` and ``iso_classes``
     fields; a resource category also reads ``unit`` and ``tensor``."""
@@ -126,8 +120,10 @@ def _build_category(doc, path: str, use_closure: bool, resource: bool = False):
         raise LoadError("category.shape", path, "category must be an object")
     try:
         fields = [_int(doc["objects"], "category.shape", path, "objects"),
-                  _bool_table(doc["hom"], path + ".hom"),
+                  _int_rows(doc["hom"], "category.shape", path, "hom entries"),
                   _int_rows(doc["iso_classes"], "category.shape", path, "iso classes")]
+        if not set(chain.from_iterable(fields[1])) <= {0, 1}:
+            raise StructureError("hom entries must be 0 or 1")
         if resource:
             fields += [_int(doc["unit"], "category.shape", path, "unit"),
                        _int_rows(doc["tensor"], "category.shape", path, "tensor rows")]
@@ -252,14 +248,10 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
 
 def validate_instance(inst: Instance) -> list:
     """Law phase: every violation as a LoadError record (not raised)."""
-    problems: list[LoadError] = []
-    report = validate_category(inst.cat)
-    for v in report.violations:
-        problems.append(LoadError(v.code, "category", v.message))
-    for i, obj in enumerate(inst.objectives):
-        t_report = validate_category(obj.target)
-        for v in t_report.violations:
-            problems.append(LoadError(v.code, f"valuations[{i}].target", v.message))
+    sections = [("category", inst.cat)] + [
+        (f"valuations[{i}].target", obj.target) for i, obj in enumerate(inst.objectives)]
+    problems = [LoadError(v.code, path, v.message)
+                for path, cat in sections for v in validate_category(cat).violations]
     try:
         inst.distribution.validate(inst.cat.size)
     except LoadError as e:

@@ -204,7 +204,7 @@ def jump_pattern_frequencies(lambdas: Sequence, trials: int = 10**6,
         nxt: dict = {}
         for pattern, count in sorted(paths.items()):
             state = pattern[-1] if pattern else 0
-            jump = gen.binomial(count, ls[state]) if count else 0
+            jump = gen.binomial(count, ls[state])
             stay = count - jump
             if stay:
                 nxt[pattern] = nxt.get(pattern, 0) + stay
@@ -234,12 +234,11 @@ def chain_probability(lambdas: Sequence, chain: Sequence[int], n: int):
         raise PreconditionError(f"{n} steps out of range for {len(ls)} jump probabilities")
     prob = 1
     state = 0
-    prev = 0
     for t in times:
-        prob *= (1 - ls[state]) ** (t - prev - 1) * ls[state]
-        state, prev = t, t
+        prob *= (1 - ls[state]) ** (t - state - 1) * ls[state]
+        state = t
     if state < len(ls):
-        prob *= (1 - ls[state]) ** (n - prev)
+        prob *= (1 - ls[state]) ** (n - state)
     return prob
 
 
@@ -377,7 +376,7 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     by_class = {v: minorization_mass(system, dist, d, exact=exact)
                 for v, d in dict(zip(chains.ids, chains.draws)).items()}
     jump_probs = tuple(by_class[v] for v in chains.ids)
-    coeffs = evolve_coefficients(jump_probs[:-1] if n else ())
+    coeffs = evolve_coefficients(jump_probs[:-1])
     l0 = float(jump_probs[0])
     rough_ok = float(coeffs[-1]) >= (1 - l0) ** n - ESTIMATE_TOL
     as_float = {v: float(l) for v, l in by_class.items()}
@@ -391,7 +390,7 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
         jump_probs=jump_probs,
         coeffs=tuple(coeffs),
         seed=seed,
-        acceptance_rate=counter[1] / counter[0] if counter[0] else 1.0,
+        acceptance_rate=counter[1] / counter[0],
         rough_bound_ok=rough_ok,
         chains_monotone=mono,
     )

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import accumulate, chain, islice, product, repeat
+from functools import cached_property
+from itertools import chain, islice, product
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, StructureError
+
+
+def _check_ids(cat: TargetCategory, a: int, b: int) -> None:
+    if not (0 <= a < cat.size and 0 <= b < cat.size):
+        raise StructureError(f"object id out of range: ({a},{b})")
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,7 @@ class TargetCategory:
         return tuple(out)
 
     def isomorphic(self, a: int, b: int) -> bool:
+        _check_ids(self, a, b)
         return self.iso_class_of[a] == self.iso_class_of[b]
 
 
@@ -185,18 +191,31 @@ def close_hom(hom: Sequence[Sequence[bool]]) -> tuple:
 
 def convertible(cat: TargetCategory, a: int, b: int) -> bool:
     """True when a morphism a -> b exists (a can be converted into b)."""
-    if not (0 <= a < cat.size and 0 <= b < cat.size):
-        raise StructureError(f"object id out of range: ({a},{b})")
+    _check_ids(cat, a, b)
     return cat.hom[a][b]
 
 
+def _powers(cat: ResourceCategory, a: int) -> tuple:
+    """The powers ``a``, ``a (x) a``, ... (folded left to right) up to
+    the first repeat, and the index that the repeat returns to: from
+    there on the powers cycle, so there are at most K distinct ones."""
+    pows, seen = [a], {a: 0}
+    while (x := cat.tens(pows[-1], a)) not in seen:
+        seen[x] = len(pows)
+        pows.append(x)
+    return pows, seen[x]
+
+
 def tensor_power(cat: ResourceCategory, a: int, n: int) -> int:
-    """n-fold tensor of ``a`` with itself, folded left to right; n >= 1."""
+    """n-fold tensor of ``a`` with itself, folded left to right; n >= 1.
+    Read off the cycle of :func:`_powers`: the cost does not grow with n."""
     if n < 1:
         raise PreconditionError(f"tensor power needs n >= 1, got {n}")
     if not 0 <= a < cat.size:
         raise StructureError(f"object id out of range: {a}")
-    return reduce(cat.tens, repeat(a, n - 1), a)
+    pows, start = _powers(cat, a)
+    period = len(pows) - start
+    return pows[n - 1 if n <= len(pows) else start + (n - 1 - start) % period]
 
 
 def conversion_rate(
@@ -204,21 +223,26 @@ def conversion_rate(
 ) -> Optional[Fraction]:
     """Best ratio m/n with n copies of ``a`` convertible into m of ``b``.
 
-    Scans all 1 <= m, n <= n_max against precomputed tensor powers and
-    returns the maximum as an exact fraction, or None when no pair of
-    powers is convertible. The true rate is a supremum; this is its
-    bounded-window approximation and is monotone in ``n_max``. An object
-    id out of range raises :class:`StructureError`, ``n_max < 1``
-    :class:`PreconditionError`.
+    The maximum over all 1 <= m, n <= n_max with ``a^n -> b^m`` as an
+    exact fraction, or None when no pair of powers is convertible. Each
+    distinct power of ``a`` is taken at its least exponent and each of
+    ``b`` at its greatest exponent <= n_max (by the period of the powers'
+    cycle), so the cost does not grow with ``n_max``. The true rate is a
+    supremum; this is its bounded-window approximation and is monotone
+    in ``n_max``. An object id out of range raises
+    :class:`StructureError`, ``n_max < 1`` :class:`PreconditionError`.
     """
-    if not (0 <= a < cat.size and 0 <= b < cat.size):
-        raise StructureError(f"object id out of range: ({a},{b})")
+    _check_ids(cat, a, b)
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    pow_a, pow_b = (list(accumulate(repeat(x, n_max), cat.tens)) for x in (a, b))
-    return max((Fraction(m, n) for n, src in enumerate(pow_a, 1)
-                for m, dst in enumerate(pow_b, 1) if cat.hom[src][dst]), default=None)
+    pow_a, _ = _powers(cat, a)
+    pow_b, start = _powers(cat, b)
+    period = len(pow_b) - start
+    last = {dst: m + (n_max - m) // period * period if m > start else m
+            for m, dst in enumerate(pow_b[:n_max], 1)}
+    return max((Fraction(last[dst], n) for n, src in enumerate(pow_a[:n_max], 1)
+                for dst in last if cat.hom[src][dst]), default=None)
 
 
 def mutually_convertible(cat: TargetCategory, a: int, b: int) -> bool:
-    return cat.hom[a][b] and cat.hom[b][a]
+    return convertible(cat, a, b) and convertible(cat, b, a)

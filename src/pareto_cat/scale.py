@@ -106,7 +106,6 @@ def interleaving_distance(y: ScaleObject, z: ScaleObject) -> Union[int, float]:
     have gone flat), so the finite scan is exhaustive. Infinity is
     absorbing under the triangle inequality.
     """
-    _check_pair(y, z)
     for eps in range(y.grid_len):
         if epsilon_interleaved(y, z, eps):
             return eps

@@ -80,8 +80,7 @@ def functors_isomorphic(cat, a: Sequence[int], b: Sequence[int]) -> bool:
     """Componentwise isomorphism; the product category's iso relation."""
     if len(a) != len(b):
         raise PreconditionError(f"system size mismatch: {len(a)} vs {len(b)}")
-    cls = cat.iso_class_of
-    return all(cls[x] == cls[y] for x, y in zip(a, b))
+    return all(map(cat.isomorphic, a, b))
 
 
 def tuple_rank(k: int, values: Sequence[int]) -> int:

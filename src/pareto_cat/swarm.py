@@ -107,7 +107,6 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
 
     strict = system.image_class_vectors.strict
     chains = [ImprovementChains(system) for _ in range(n_particles)]
-    positions = [c.draws for c in chains]
 
     flags: dict = {}  # (particle, draw_index) -> FlagEntry, first flag kept
     cross_links: list = []
@@ -129,7 +128,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
                              default=(0, ()))
             if witness:
                 witness = tuple((i, idx) for idx in witness + (k,))
-                flags.setdefault((i, k), FlagEntry(i, k, positions[i][k], witness, config.epsilon))
+                flags.setdefault((i, k), FlagEntry(i, k, chains[i].draws[k], witness, config.epsilon))
                 flagged_this_round.add(i)
 
         for i in range(n_particles):
@@ -143,7 +142,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
                     cross_links.append((i, tip, j, k))
                     if tables.reversible(chains[i].ranks[tip], chains[j].ranks[k]):
                         witness = tuple((i, idx) for idx in chain) + ((j, k),)
-                        flags.setdefault((j, k), FlagEntry(j, k, positions[j][k], witness,
+                        flags.setdefault((j, k), FlagEntry(j, k, chains[j].draws[k], witness,
                                                            config.epsilon))
 
     final_chains = tuple(tuple(c.all_longest()) for c in chains)
@@ -162,10 +161,8 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     attempts = sum(c[0] for c in counters)
     accepted = sum(c[1] for c in counters)
     stats = {
-        "acceptance_rate": accepted / attempts if attempts else 1.0,
-        "acceptance_rate_per_particle": [
-            c[1] / c[0] if c[0] else 1.0 for c in counters
-        ],
+        "acceptance_rate": accepted / attempts,
+        "acceptance_rate_per_particle": [c[1] / c[0] for c in counters],
         "chain_length_histogram": hist,
         "flag_count": len(flags),
         "cross_link_count": len(cross_links),
@@ -175,7 +172,7 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     }
     return SwarmReport(
         config=config,
-        positions=tuple(tuple(p) for p in positions),
+        positions=tuple(tuple(c.draws) for c in chains),
         flagged=tuple(flags.values()),
         chains=final_chains,
         cross_links=tuple(cross_links),

@@ -135,7 +135,7 @@ class ObjectDistribution:
 
     def tuple_weight(self, values: Sequence[int], exact: bool = False):
         """Product-measure weight of one system."""
-        return self.mass(np.array([values], dtype=np.intp).reshape(1, len(values)), exact)
+        return self.mass(np.array([values], dtype=np.intp), exact)
 
 
 def _dense(key: np.ndarray, size: int) -> tuple:

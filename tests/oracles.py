@@ -8,7 +8,8 @@ expected values. Deliberately brute force; only run at desk scale.
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import accumulate, combinations, permutations, product, repeat
 
 import numpy as np
 
@@ -407,3 +408,18 @@ def category_violations(cat, max_violations=50):
                 for a, b, a2, b2 in product(k, k, k, k)
                 if hom[a][b] and hom[a2][b2] and not hom[t[a][a2]][t[b][b2]]]
     return out[:max(max_violations, 0)]
+
+
+def tensor_power_fold(tensor, a, n):
+    """``a`` tensored with itself n times, one fold step per copy."""
+    return reduce(lambda x, y: tensor[x][y], repeat(a, n - 1), a)
+
+
+def conversion_rate_scan(hom, tensor, a, b, n_max):
+    """The best m/n over every pair 1 <= m, n <= n_max with a^n -> b^m,
+    from the first n_max powers of each object; None when no pair
+    converts."""
+    pow_a, pow_b = (list(accumulate(repeat(x, n_max), lambda x, y: tensor[x][y]))
+                    for x in (a, b))
+    return max((Fraction(m, n) for n, src in enumerate(pow_a, 1)
+                for m, dst in enumerate(pow_b, 1) if hom[src][dst]), default=None)

@@ -299,6 +299,13 @@ def test_rate(capsys):
     assert code == 1
 
 
+def test_rate_reads_a_huge_window_off_the_power_cycle(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["rate", CHAIN3, "3", "0", "--n-max", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["rate"] == "1000000000"
+
+
 def test_out_of_range_alpha_and_object_ids_are_one_error_line(capsys):
     assert run(capsys, ["rate", CHAIN3, "9", "1"]) == (
         1, "", "pareto-cat: error: object id out of range: (9,1)\n")

@@ -132,6 +132,17 @@ def test_malformed_fields_raise_load_error(mutate, code):
     assert code_of(e) == code
 
 
+@pytest.mark.parametrize("mutate, detail", [
+    (lambda c: c.update(objects=0), "category needs at least one object"),
+    (lambda c: c.update(unit=4), "unit 4 out of range"),
+    (lambda c: c["tensor"][2].__setitem__(1, -1), "tensor[2][1] = -1 out of range"),
+], ids=["objects", "unit", "tensor"])
+def test_category_ranges_are_shape_errors(mutate, detail):
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(broken(fixture_doc("chain3"), lambda d: mutate(d["category"])))
+    assert (code_of(e), e.value.path, e.value.detail) == ("category.shape", "category", detail)
+
+
 def test_valuation_shape_and_kind():
     doc = fixture_doc("chain3")
     with pytest.raises(pc.LoadError) as e:

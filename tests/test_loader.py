@@ -46,6 +46,11 @@ def mutated(doc, path, value):
     (("scale", "valuations_scaled", 0, 5, 1), 1.5, "scale.shape", "scale.valuations_scaled[0][5]"),
     (("scale", "valuations_scaled", 1, 7, 0), "1", "scale.shape", "scale.valuations_scaled[1][7]"),
     (("scale", "valuations_scaled", 1, 2, 3), False, "scale.shape", "scale.valuations_scaled[1][2]"),
+    (("category", "hom", 0, 1), "0", "category.shape", "category"),
+    (("category", "hom", 1, 0), 0.5, "category.shape", "category"),
+    (("category", "hom", 2, 2), 2, "category.shape", "category"),
+    (("valuations", 0, "target", "hom", 0, 0), [1], "category.shape", "valuations[0].target"),
+    (("valuations", 1, "target", "hom", 3, 0), True, "category.shape", "valuations[1].target"),
 ], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else None)
 def test_non_integers_fail_with_the_sections_shape_code(path, value, code, where):
     with pytest.raises(pc.LoadError) as e:

@@ -269,6 +269,11 @@ def test_run_particle_deterministic(chain3):
     assert a.to_dict() == b.to_dict()
 
 
+def test_run_particle_refuses_a_negative_step_count(chain3):
+    with pytest.raises(pc.PreconditionError, match="^number of steps must be >= 0$"):
+        pc.run_particle(chain3.system, chain3.distribution, -1, seed=1)
+
+
 def test_run_particle_draws_are_admissible(chain3):
     tr = pc.run_particle(chain3.system, chain3.distribution, 20, seed=7)
     assert len(tr.draws) == 21

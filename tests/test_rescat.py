@@ -188,11 +188,27 @@ def test_convertible_and_mutual():
     assert not pc.mutually_convertible(CHAIN4, 2, 1)
 
 
+@pytest.mark.parametrize("a, b", [(-1, 3), (9, 0), (0, 9), (3, -1)])
+def test_pair_readers_refuse_object_ids_out_of_range(a, b):
+    """On chain3 (1 and 3 isomorphic) a negative id would wrap to object
+    3, and 9 is past every table: each reader refuses both."""
+    cat = pc.load_instance(pc.fixture_path("chain3")).cat
+    for read in (pc.convertible, pc.mutually_convertible, pc.TargetCategory.isomorphic):
+        with pytest.raises(pc.StructureError, match=rf"^object id out of range: \({a},{b}\)$"):
+            read(cat, a, b)
+
+
 def test_tensor_power_values():
     # 1^k climbs the chain and saturates at 3
     assert [pc.tensor_power(CHAIN4, 1, k) for k in (1, 2, 3, 4, 5)] == [1, 2, 3, 3, 3]
     with pytest.raises(pc.PreconditionError):
         pc.tensor_power(CHAIN4, 1, 0)
+
+
+@pytest.mark.parametrize("a", [-1, 4])
+def test_tensor_power_refuses_object_ids_out_of_range(a):
+    with pytest.raises(pc.StructureError, match=rf"^object id out of range: {a}$"):
+        pc.tensor_power(CHAIN4, a, 2)
 
 
 def test_conversion_rate_on_chain():
@@ -221,6 +237,40 @@ def test_conversion_rate_monotone_in_window():
     assert r8 <= r16
     with pytest.raises(pc.PreconditionError):
         pc.conversion_rate(CHAIN4, 1, 1, n_max=0)
+
+
+@st.composite
+def random_tables(draw, max_size=6):
+    """A hom table and a tensor table of K objects with arbitrary entries:
+    the powers' tail and cycle need no category law."""
+    k = draw(st.integers(1, max_size))
+    hom = [[draw(st.booleans()) for _ in range(k)] for _ in range(k)]
+    tensor = [[draw(st.integers(0, k - 1)) for _ in range(k)] for _ in range(k)]
+    cat = pc.ResourceCategory(k, hom, [[i] for i in range(k)], 0, tensor)
+    return cat, draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_tables(), st.integers(1, 30))
+def test_powers_match_the_fold_and_the_pair_scan(table, n_max):
+    cat, a, b = table
+    assert ([pc.tensor_power(cat, a, n) for n in range(1, n_max + 1)]
+            == [oracles.tensor_power_fold(cat.tensor, a, n) for n in range(1, n_max + 1)])
+    assert (pc.conversion_rate(cat, a, b, n_max=n_max)
+            == oracles.conversion_rate_scan(cat.hom, cat.tensor, a, b, n_max))
+
+
+def test_powers_of_a_huge_exponent_read_the_cycle():
+    # addition mod 3 with only identity arrows: a^n is n*a mod 3, and
+    # a^n -> b^m holds exactly when n*a = m*b mod 3 (10**18 = 1 mod 3)
+    cat = pc.ResourceCategory(3, [[a == b for b in range(3)] for a in range(3)],
+                              [[0], [1], [2]], 0,
+                              [[(a + b) % 3 for b in range(3)] for a in range(3)])
+    assert [pc.tensor_power(cat, 1, n) for n in (1, 2, 3, 4)] == [1, 2, 0, 1]
+    assert pc.tensor_power(cat, 1, 10**18) == 1
+    assert pc.tensor_power(cat, 2, 10**18 + 1) == 1
+    assert pc.conversion_rate(cat, 1, 1, n_max=10**18) == Fraction(10**18)
+    assert pc.conversion_rate(cat, 1, 2, n_max=10**18) == Fraction(10**18 - 2)
 
 
 @settings(max_examples=40, deadline=None)

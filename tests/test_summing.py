@@ -71,6 +71,26 @@ def test_componentwise_iso():
         pc.functors_isomorphic(cat, (0,), (0, 1))
 
 
+@pytest.mark.parametrize("a, b", [((-1, 0), (3, 0)), ((9, 0), (0, 0))])
+def test_componentwise_iso_refuses_object_ids_out_of_range(a, b):
+    cat = pc.load_instance(pc.fixture_path("chain3")).cat
+    with pytest.raises(pc.StructureError, match="^object id out of range"):
+        pc.functors_isomorphic(cat, a, b)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pc.evaluate(CHAIN4, (1, 4), (0, 1)), pc.StructureError, "object id 4 out of range"),
+    (lambda: pc.tuple_rank(4, (0, -1)), pc.StructureError, "object id -1 out of range"),
+    (lambda: pc.tuple_unrank(4, 2, 16), pc.PreconditionError, r"rank 16 out of range for 4\^2"),
+    (lambda: pc.tuple_unrank(4, 2, -1), pc.PreconditionError, r"rank -1 out of range for 4\^2"),
+    (lambda: pc.enumerate_summing_functors(CHAIN4, -1), pc.PreconditionError,
+     "system size must be >= 0, got -1"),
+], ids=["evaluate", "rank", "unrank-high", "unrank-negative", "enumerate"])
+def test_out_of_range_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=50, deadline=None)
 @given(resource_categories(), st.data())
 def test_componentwise_iso_is_equivalence(cat, data):

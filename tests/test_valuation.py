@@ -398,6 +398,14 @@ def test_longest_strict_chains(staircase):
     assert chains == [(0,), (1,)]
 
 
+def test_system_readers_refuse_bad_draws(staircase):
+    s = staircase.system
+    with pytest.raises(pc.PreconditionError, match=r"^system size mismatch: 3 != 2$"):
+        s.rank((0, 1, 1))
+    with pytest.raises(pc.PreconditionError, match=r"^draw \(0, 0\) is not admissible$"):
+        pc.longest_strict_chains(s, [(1, 1), (0, 0)])
+
+
 def _brute_longest_chains(system, draws):
     """Every longest strictly improving index subsequence, by trying all
     of them."""
