@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -152,14 +153,18 @@ def _grid_table(table, k: int, n: int, grid_len: int, size: int, path: str) -> n
 
     The table needs K^n rows. Rows are checked in rank order: the first
     row with the wrong shape or a value out of ``0..size-1`` is the one
-    reported. A table of int lists is read in one pass; the row scan
-    runs only when that pass finds something else.
+    reported. An int64 array of ``grid_len`` columns, as
+    :func:`_numpy_scale` reads a large section, is taken as it is, and a
+    table of int lists is read in one pass; the row scan runs only when
+    neither holds.
     """
-    if not isinstance(table, list) or len(table) != count_within(k, n, len(table)):
+    if not isinstance(table, (list, np.ndarray)) or len(table) != count_within(k, n, len(table)):
         raise LoadError("scale.shape", path, f"need {k}^{n} rows (one per system)")
     total = good = len(table)
     arr = None
-    if (set(map(type, table)) <= {list} and set(map(len, table)) <= {grid_len}
+    if isinstance(table, np.ndarray):
+        arr = table if table.dtype == np.int64 and table.shape[1:] == (grid_len,) else None
+    elif (set(map(type, table)) <= {list} and set(map(len, table)) <= {grid_len}
             and set(map(type, chain.from_iterable(table))) <= {int}):
         try:
             arr = np.fromiter(chain.from_iterable(table), np.int64,
@@ -268,11 +273,84 @@ def validate_instance(inst: Instance) -> list:
     return problems
 
 
+# a scale section of at least this many bytes is tried by numpy before json
+_NUMPY_SCALE_MIN = 1 << 16
+_SCALE_KEY = re.compile(rb'"valuations_scaled"\s*:\s*\[')
+
+
+def _numpy_scale(data: bytes) -> Optional[dict]:
+    """The document with ``scale.valuations_scaled`` read by numpy into
+    one int64 array per objective, or None to leave the text to ``json``.
+
+    The section is taken only when it is brackets, commas, JSON
+    whitespace and integers of at most 18 digits with no leading zero,
+    nested exactly objectives x rows x ``grid_len``, and only if the
+    ``NaN`` put in its place, then the document's only ``NaN`` or
+    ``Infinity``, lands at ``scale.valuations_scaled`` when ``json``
+    parses the rest.
+    """
+    key = _SCALE_KEY.search(data)
+    if key is None or len(data) - key.end() < _NUMPY_SCALE_MIN:
+        return None
+    start = key.end() - 1
+    # a section numpy can read holds no quote or brace: it ends before the first one
+    stop = min((i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0),
+               default=start)
+    end = start + len(data[start:stop].rstrip(b" \t\n\r,"))
+    if end - start < _NUMPY_SCALE_MIN:
+        return None
+    hole = []  # what parse_constant returns: no other value in the document is it
+    try:
+        doc = json.loads((data[:start] + b"NaN" + data[end:]).decode("utf-8"),
+                         parse_constant=lambda c: hole.append(c) or hole)
+        sdoc, objs = doc["scale"], len(doc["valuations"])
+        grid_len = sdoc["grid_len"]
+    except (ValueError, RecursionError, LookupError, TypeError):
+        return None
+    if hole != ["NaN"] or sdoc.get("valuations_scaled") is not hole or not (
+            type(grid_len) is int and grid_len > 0 and objs > 0):
+        return None
+    text = np.frombuffer(data, np.uint8, end - start, start)
+    digit = (text - 48) < 10  # uint8 wraps below b"0"
+    lead = digit.copy()
+    lead[1:] &= ~digit[:-1]  # the first digit of each integer
+    # a byte per bracket, comma and integer: JSON whitespace and further digits go
+    tokens = text[lead | ~(digit | (text == 32) | (text == 10) | (text == 13) | (text == 9))]
+    step = 2 * grid_len + 2  # a row's tokens, with the comma after it
+    rows, left = divmod(len(tokens) - 1 - 2 * objs, objs * step)
+    if left or rows < 1 or np.count_nonzero(lead) != objs * rows * grid_len:
+        return None
+    at = np.lib.stride_tricks.as_strided(  # where each integer's first digit sits
+        tokens[3:], (objs, rows, grid_len), (rows * step + 2, step, 2))
+    first = at - 48
+    at[...] = 48
+    row = b"[" + b"0," * (grid_len - 1) + b"0]"
+    table = b"[" + (row + b",") * (rows - 1) + row + b"]"
+    if tokens.tobytes() != b"[" + b",".join([table] * objs) + b"]":
+        return None
+    vals = first.astype(np.int64)
+    del tokens, at, first  # freed before the passes over longer integers
+    # one pass per further digit, if some integer has more than one
+    flat, run = vals.reshape(-1), lead
+    for j in range(1, 19 if np.count_nonzero(digit) > vals.size else 1):
+        run = run[:-1] & digit[j:]  # run[i]: the integer starting at i has a digit at i + j
+        if not run.any():
+            break
+        more = run[lead[:len(run)]]  # in value order; an integer in the last j bytes is shorter
+        head = flat[:len(more)]
+        if j == 18 or j == 1 and np.any(head[more] == 0):  # 19 digits, or a leading zero
+            return None
+        head[more] = head[more] * 10 + (text[j:][run] - 48)
+    sdoc["valuations_scaled"] = list(vals)
+    return doc
+
+
 def _read(source):
     if isinstance(source, dict):
         return source
     try:
-        return json.loads(Path(source).read_text())
+        data = Path(source).read_bytes()
+        return _numpy_scale(data) or json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:
         raise LoadError("parse.json", str(source), str(e))
     except OSError as e:

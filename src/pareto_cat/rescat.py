@@ -76,6 +76,7 @@ class ResourceCategory(TargetCategory):
         object.__setattr__(self, "tensor", tuple(tuple(map(int, row)) for row in tensor))
 
     def tens(self, a: int, b: int) -> int:
+        _check_ids(self, a, b)
         return self.tensor[a][b]
 
 

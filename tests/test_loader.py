@@ -1,13 +1,16 @@
-"""The loader's integer rule, its one-pass scale tables, its collector
-pause, and a fuzz of whole documents and single-field mutations."""
+"""The loader's integer rule, its one-pass scale tables, its numpy
+reader for large scale sections, its collector pause, and a fuzz of
+whole documents and single-field mutations."""
 
 import copy
 import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 import pareto_cat as pc
 from pareto_cat.cli import main
-from pareto_cat.instance import _grid_table
+from pareto_cat import instance
+from pareto_cat.instance import _grid_table, _numpy_scale
 
 from conftest import FIXTURES, fixture_doc
 
@@ -138,6 +142,172 @@ def test_grid_table_matches_the_reference(case):
         assert isinstance(want, np.ndarray), want
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# ------------------------------------------------ the numpy scale reader
+
+def scale_text(doc: dict, section: str, rnd, grid_len: int, key: str = "valuations_scaled",
+               extra: str = "") -> str:
+    """``doc`` as JSON text with ``section`` as its scale tables, the scale
+    object first or last and ``grid_len`` before or after the tables."""
+    fields = [f'"grid_len": {grid_len}', f'"{key}": {section}']
+    scale = '"scale": {' + ", ".join(fields[::rnd.choice((1, -1))]) + extra + "}"
+    rest = json.dumps({k: v for k, v in doc.items() if k != "scale"})[1:-1]
+    return "{" + (f"{scale}, {rest}" if rnd.random() < 0.5 else f"{rest}, {scale}") + "}"
+
+
+def render(value, rnd) -> str:
+    """Nested lists of value texts as JSON with random whitespace."""
+    if isinstance(value, str):
+        return value
+    space = lambda: rnd.choice(("", "", " ", "\n", "\t", "\r\n  "))
+    return ("[" + space() + ("," + space()).join(render(v, rnd) + space() for v in value)
+            + "]")
+
+
+# one token of a table replaced: its old text in, its new text out
+TOKEN_MUTATIONS = {"float": lambda v: v + ".0", "exponent": lambda v: v + "e0",
+                   "true": lambda v: "true", "minus": lambda v: "-" + v,
+                   "leading zero": lambda v: "0" + v, "19 digits": lambda v: "1" + "0" * 18,
+                   "string": lambda v: f'"{v}"'}
+SHAPE_MUTATIONS = ("row+", "row-", "column+", "column-", "objective+", "objective-",
+                   "value moved to the next row")
+KEY_MUTATIONS = ("duplicate key", "key in a metadata string", "key in metadata",
+                 "constant in metadata", "escaped key", "trailing junk")
+
+
+@st.composite
+def scale_cases(draw):
+    """The staircase document with random scale tables, random whitespace
+    and at most one mutation; returns ``(text, mutation)``."""
+    rnd = draw(st.randoms(use_true_random=False))
+    grid_len = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([3, 3, 9, 10**18 - 1]))
+    tables = [[[str(rnd.randint(0, top)) for _ in range(grid_len)] for _ in range(16)]
+              for _ in range(2)]
+    mutation = draw(st.sampled_from((None,) * 4 + tuple(TOKEN_MUTATIONS) + SHAPE_MUTATIONS
+                                    + KEY_MUTATIONS))
+    table, row = rnd.choice(tables), rnd.randrange(16)
+    if mutation in TOKEN_MUTATIONS:
+        g = rnd.randrange(grid_len)
+        table[row][g] = TOKEN_MUTATIONS[mutation](table[row][g])
+    elif mutation == "row+":
+        table.insert(row, list(table[row]))
+    elif mutation == "row-":
+        del table[row]
+    elif mutation == "column+":
+        table[row].append("0")
+    elif mutation == "column-":
+        table[row].pop()
+    elif mutation == "value moved to the next row":
+        table[(row + 1) % 16].append(table[row].pop())
+    elif mutation == "objective+":
+        tables.append(table)
+    elif mutation == "objective-":
+        tables.remove(table)
+    doc, section = fixture_doc("staircase"), render(tables, rnd)
+    key, extra = "valuations_scaled", ""
+    if mutation == "duplicate key":
+        extra = ', "valuations_scaled": ' + render([[["0"] * grid_len] * 16] * 2, rnd)
+    elif mutation == "key in a metadata string":
+        doc["metadata"]["name"] = '"valuations_scaled": ' + section
+    elif mutation == "key in metadata":
+        doc["metadata"]["valuations_scaled"] = [[[0]]]
+    elif mutation == "constant in metadata":
+        doc["metadata"]["limit"] = rnd.choice((math.nan, math.inf, -math.inf))
+    elif mutation == "escaped key":
+        key = "valuations\\u005fscaled"
+    text = scale_text(doc, section, rnd, grid_len, key, extra)
+    return text + (rnd.choice((" x", "]", "{}")) if mutation == "trailing junk" else ""), mutation
+
+
+def load_outcome(path):
+    """The scale tables and the problems of a lenient load, or the code and
+    path of the LoadError it raises."""
+    try:
+        inst, problems = pc.load_instance(path, strict=False)
+    except pc.LoadError as e:
+        return e.code, e.path
+    return ([(t.dtype, t.shape, t.tolist()) for t in inst.scale.tables],
+            [(p.code, p.path) for p in problems])
+
+
+@given(scale_cases())
+@settings(max_examples=300)
+def test_numpy_scale_reader_matches_json_or_declines(fuzz_file, case):
+    text, mutation = case
+    fuzz_file.write_text(text, encoding="utf-8")
+    want = load_outcome(fuzz_file)  # a small file never passes the size gate
+    with mock.patch.object(instance, "_NUMPY_SCALE_MIN", 0):
+        read = _numpy_scale(text.encode())
+        assert load_outcome(fuzz_file) == want
+    # the reader reads the first "valuations_scaled" key, and a metadata
+    # field of that name ahead of the scale section makes it decline
+    scale_first = text.find('"valuations_scaled"') > text.find('"scale"')
+    assert (read is not None) == (mutation in (None, "key in a metadata string")
+                                  or mutation == "key in metadata" and scale_first), mutation
+    if read is not None:
+        tables = read["scale"]["valuations_scaled"]
+        ref = json.loads(text)
+        assert [(t.dtype, t.shape) for t in tables] == [
+            (np.dtype(np.int64), np.array(t).shape) for t in ref["scale"]["valuations_scaled"]]
+        read["scale"]["valuations_scaled"] = [t.tolist() for t in tables]
+        assert read == ref
+
+
+def big_staircase(n: int) -> dict:
+    """The staircase category at system size ``n``, two composed objectives
+    and a scale row per system that walks down from its rank mod 4."""
+    doc = fixture_doc("staircase")
+    doc["system_size"] = n
+    doc["valuations"][1] = {**doc["valuations"][0], "goal": 0}
+    doc["scale"]["valuations_scaled"] = [
+        [[max(r % 4 - s - a, 0) for s in range(4)] for r in range(4**n)] for a in range(2)]
+    return doc
+
+
+def test_a_large_scale_section_loads_by_numpy_as_by_json(tmp_path):
+    doc = big_staircase(7)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    data = p.read_bytes()
+    assert len(data) - data.index(b'"valuations_scaled"') > instance._NUMPY_SCALE_MIN
+    assert _numpy_scale(data) is not None
+    inst = pc.load_instance(p)
+    assert inst == pc.load_instance(doc)
+    assert [t.dtype for t in inst.scale.tables] == [np.dtype(np.int64)] * 2
+    assert pc.emit_instance(inst)["scale"] == doc["scale"]
+    assert inst.scaled_image(1, (3,) * 7).values == (2, 1, 0, 0)
+    doc["scale"]["valuations_scaled"][1][5][2] = 4
+    p.write_text(json.dumps(doc))
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(p)
+    assert (e.value.code, e.value.path) == ("scale.range", "scale.valuations_scaled[1][5]")
+
+
+def test_the_numpy_reader_holds_less_than_json():
+    """The reader's transient memory, its arrays included, stays below
+    what ``json`` holds for the same text."""
+    data = json.dumps(big_staircase(7), separators=(",", ":")).encode()
+
+    def peak(read) -> int:
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _numpy_scale(data)) < 0.8 * peak(lambda: json.loads(data.decode()))
+
+
+def test_a_non_ascii_document_loads_whatever_the_locale(tmp_path):
+    """The file is read as UTF-8, not in the locale's encoding."""
+    doc = fixture_doc("chain3")
+    doc["metadata"] = {"name": "Pareto–cat é"}
+    p = tmp_path / "doc.json"
+    p.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert pc.load_instance(p).metadata["name"] == "Pareto–cat é"
 
 
 # ------------------------------------------------------- the collector pause

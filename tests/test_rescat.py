@@ -198,6 +198,16 @@ def test_pair_readers_refuse_object_ids_out_of_range(a, b):
             read(cat, a, b)
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (9, 0), (0, -1), (0, 9)])
+def test_tens_refuses_object_ids_out_of_range(a, b):
+    """On chain3 ``tens(-1, 0)`` would read ``tens(3, 0)``, and 9 is
+    past the table."""
+    cat = pc.load_instance(pc.fixture_path("chain3")).cat
+    assert cat.tens(3, 0) == cat.tensor[3][0]
+    with pytest.raises(pc.StructureError, match=rf"^object id out of range: \({a},{b}\)$"):
+        cat.tens(a, b)
+
+
 def test_tensor_power_values():
     # 1^k climbs the chain and saturates at 3
     assert [pc.tensor_power(CHAIN4, 1, k) for k in (1, 2, 3, 4, 5)] == [1, 2, 3, 3, 3]
