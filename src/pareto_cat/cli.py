@@ -2,10 +2,14 @@
 
 Subcommands operate on instance files (JSON documents describing the
 resource preorder, objectives, object weights and optional scale
-tables). Results print to stdout as JSON with sorted keys; ``--out``
-redirects to a file, and a ``.csv`` suffix selects CSV for the tabular
-commands (frontier, swarm). Exit status: 0 on success, 1 on any domain
-error (bad instance, failed sampling, unwritable ``--out``), 2 on usage errors.
+tables). ``main`` loads the instance strictly, calls the subcommand's
+``answer_<command>(inst, args)`` and emits the ``(doc, table)`` it
+returns once: ``doc`` as JSON with sorted keys on stdout or to ``--out``;
+``table`` (frontier and swarm; None for the rest) as CSV rows, header
+first, to an ``--out`` ending in ``.csv``. ``validate`` alone loads
+leniently, so that it can report every problem. Exit status: 0 on
+success, 1 on any domain error (bad instance, failed sampling,
+unwritable ``--out``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -30,9 +33,9 @@ from .valuation import minorization_mass, pareto_frontier
 _PROG = "pareto-cat"
 
 
-def _emit(doc: dict, out: str | None, csv_rows=None, csv_header=None) -> None:
+def _emit(out: str | None, doc: dict, table=None) -> None:
     as_csv = out is not None and out.endswith(".csv")
-    if as_csv and csv_rows is None:
+    if as_csv and table is None:
         raise ParetoCatError(f"CSV output is not available for this command: {out}")
     if not as_csv:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -42,16 +45,11 @@ def _emit(doc: dict, out: str | None, csv_rows=None, csv_header=None) -> None:
     try:
         with open(out, "w", newline="" if as_csv else None) as fh:
             if as_csv:
-                csv.writer(fh).writerows(chain([csv_header], csv_rows))
+                csv.writer(fh).writerows(table)
             else:
                 fh.write(text)
     except OSError as e:
         raise ParetoCatError(f"cannot write {out}: {e.strerror or e}") from e
-
-
-def _load(args) -> "Instance":
-    return load_instance(args.instance, cap=args.cap,
-                         use_closure=args.close_hom, strict=True)
 
 
 def _seed(args) -> int:
@@ -98,28 +96,25 @@ def cmd_validate(args) -> int:
         "system_size": inst.n,
         "valuations": len(inst.objectives),
     }
-    _emit(doc, args.out)
+    _emit(args.out, doc)
     return 0 if not problems else 1
 
 
-def cmd_frontier(args) -> int:
-    inst = _load(args)
+def answer_frontier(inst, args):
     _warn_if_empty(inst.system)
     result = pareto_frontier(inst.system)
 
-    def rows():
+    def table():
+        yield ["group", "representative", "member"]
         members = [" ".join(map(str, m)) for m in result.rows.tolist()]
         for gi, (a, b) in enumerate(result.spans):
             for m in members[a:b]:
                 yield [gi, members[a], m]
 
-    _emit(result.to_dict(), args.out, csv_rows=rows(),
-          csv_header=["group", "representative", "member"])
-    return 0
+    return result.to_dict(), table()
 
 
-def cmd_lambda(args) -> int:
-    inst = _load(args)
+def answer_lambda(inst, args):
     _warn_if_empty(inst.system)
     phi = _parse_tuple(args.system, inst.n, inst.cat.size)
     mass = minorization_mass(inst.system, inst.distribution, phi, exact=args.exact)
@@ -128,12 +123,10 @@ def cmd_lambda(args) -> int:
         "mass": str(mass) if args.exact else mass,
         "on_frontier": (mass == 0),
     }
-    _emit(doc, args.out)
-    return 0
+    return doc, None
 
 
-def cmd_particle(args) -> int:
-    inst = _load(args)
+def answer_particle(inst, args):
     if _warn_if_empty(inst.system):
         raise SamplingError("cannot sample: no admissible systems", 0.0)
     seed = _seed(args)
@@ -143,38 +136,33 @@ def cmd_particle(args) -> int:
     if args.exact:
         doc["jump_probs"] = [str(v) for v in trace.jump_probs]
         doc["coeffs"] = [str(v) for v in trace.coeffs]
-    _emit(doc, args.out)
-    return 0
+    return doc, None
 
 
-def cmd_swarm(args) -> int:
-    inst = _load(args)
+def answer_swarm(inst, args):
     if _warn_if_empty(inst.system):
         raise SamplingError("cannot sample: no admissible systems", 0.0)
     seed = _seed(args)
     config = SwarmConfig(particles=args.particles, draws=args.draws,
                          epsilon=args.epsilon, seed=seed, budget=args.budget)
     report = run_swarm(inst, config)
-    rows = (
-        [f.particle, f.draw_index, " ".join(map(str, f.functor)), f.epsilon,
-         ";".join(f"{p}:{d}" for p, d in f.witness)]
-        for f in report.flagged
-    )
-    _emit(report.to_dict(), args.out, csv_rows=rows,
-          csv_header=["particle", "draw_index", "system", "epsilon", "witness"])
-    return 0
+
+    def table():
+        yield ["particle", "draw_index", "system", "epsilon", "witness"]
+        for f in report.flagged:
+            yield [f.particle, f.draw_index, " ".join(map(str, f.functor)), f.epsilon,
+                   ";".join(f"{p}:{d}" for p, d in f.witness)]
+
+    return report.to_dict(), table()
 
 
-def cmd_certify(args) -> int:
-    inst = _load(args)
+def answer_certify(inst, args):
     phi = _parse_tuple(args.system, inst.n, inst.cat.size)
     ok = certify_neighborhood(inst, phi, args.epsilon)
-    _emit({"system": list(phi), "epsilon": args.epsilon, "certified": ok}, args.out)
-    return 0
+    return {"system": list(phi), "epsilon": args.epsilon, "certified": ok}, None
 
 
-def cmd_interleave(args) -> int:
-    inst = _load(args)
+def answer_interleave(inst, args):
     phi = _parse_tuple(args.first, inst.n, inst.cat.size)
     psi = _parse_tuple(args.second, inst.n, inst.cat.size)
     d = interleaving_distance(inst.scaled_image(args.alpha, phi),
@@ -185,17 +173,14 @@ def cmd_interleave(args) -> int:
         "second": list(psi),
         "distance": "inf" if d == float("inf") else d,
     }
-    _emit(doc, args.out)
-    return 0
+    return doc, None
 
 
-def cmd_rate(args) -> int:
-    inst = _load(args)
+def answer_rate(inst, args):
     r = conversion_rate(inst.cat, args.a, args.b, n_max=args.n_max)
     doc = {"a": args.a, "b": args.b, "n_max": args.n_max,
            "rate": None if r is None else str(r)}
-    _emit(doc, args.out)
-    return 0
+    return doc, None
 
 
 def _positive_int(text: str) -> int:
@@ -205,79 +190,72 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("instance", help="path to an instance JSON file")
-    p.add_argument("--cap", type=int, default=10**6,
-                   help="refuse enumeration beyond this many systems")
-    p.add_argument("--close-hom", action="store_true",
-                   help="take the reflexive-transitive closure of hom tables on load")
-    p.add_argument("--out", default=None,
-                   help="write output to a file (.csv selects CSV where supported)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Frontier search over resource allocation preorders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("instance", help="path to an instance JSON file")
+    common.add_argument("--cap", type=int, default=10**6,
+                        help="refuse enumeration beyond this many systems")
+    common.add_argument("--close-hom", action="store_true",
+                        help="take the reflexive-transitive closure of hom tables on load")
+    common.add_argument("--out", default=None,
+                        help="write output to a file (.csv selects CSV where supported)")
 
-    p = sub.add_parser("validate", help="structural and law checks for an instance file")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    def command(name, answer, summary):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(answer=answer)
+        return p
 
-    p = sub.add_parser("frontier", help="exact frontier by exhaustive scan")
-    _add_common(p)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and unused: results are identical for any value")
-    p.set_defaults(func=cmd_frontier)
+    # a parent parser would move --threads, --seed and --budget to the
+    # front of their usage lines; these helpers add them in place
+    def threads(p):
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted and unused: results are identical for any value")
 
-    p = sub.add_parser("lambda", help="strict improvement mass of one system")
-    _add_common(p)
+    def seed_and_budget(p):
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--budget", type=int, default=10**5)
+
+    command("validate", None, "structural and law checks for an instance file")
+
+    threads(command("frontier", answer_frontier, "exact frontier by exhaustive scan"))
+
+    p = command("lambda", answer_lambda, "strict improvement mass of one system")
     p.add_argument("system", help="comma-separated object ids, e.g. 0,2,1")
     p.add_argument("--exact", action="store_true", help="exact rational output")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.set_defaults(func=cmd_lambda)
+    threads(p)
 
-    p = sub.add_parser("particle", help="single-particle search trace")
-    _add_common(p)
+    p = command("particle", answer_particle, "single-particle search trace")
     p.add_argument("--draws", type=int, required=True, help="number of re-draw rounds")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**5)
+    seed_and_budget(p)
     p.add_argument("--exact", action="store_true",
                    help="exact rational jump probabilities and coefficients")
-    p.set_defaults(func=cmd_particle)
 
-    p = sub.add_parser("swarm", help="multi-particle search with reversibility flags")
-    _add_common(p)
+    p = command("swarm", answer_swarm, "multi-particle search with reversibility flags")
     p.add_argument("--particles", type=int, required=True)
     p.add_argument("--draws", type=int, required=True)
     p.add_argument("--epsilon", type=int, default=0,
                    help="coarsening steps allowed when reversing an improvement")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**5)
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.set_defaults(func=cmd_swarm)
+    seed_and_budget(p)
+    threads(p)
 
-    p = sub.add_parser("certify", help="is a system within epsilon of the exact frontier")
-    _add_common(p)
+    p = command("certify", answer_certify, "is a system within epsilon of the exact frontier")
     p.add_argument("system", help="comma-separated object ids")
     p.add_argument("--epsilon", type=int, default=0)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("interleave", help="interleaving distance of two scaled images")
-    _add_common(p)
+    p = command("interleave", answer_interleave, "interleaving distance of two scaled images")
     p.add_argument("first", help="comma-separated object ids")
     p.add_argument("second", help="comma-separated object ids")
     p.add_argument("--alpha", type=int, default=0, help="objective index")
-    p.set_defaults(func=cmd_interleave)
 
-    p = sub.add_parser("rate", help="bounded-window conversion rate between two objects")
-    _add_common(p)
+    p = command("rate", answer_rate, "bounded-window conversion rate between two objects")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--n-max", type=int, default=16)
-    p.set_defaults(func=cmd_rate)
 
     return parser
 
@@ -285,7 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "validate":
+            return cmd_validate(args)
+        inst = load_instance(args.instance, cap=args.cap,
+                             use_closure=args.close_hom, strict=True)
+        _emit(args.out, *args.answer(inst, args))
+        return 0
     except ParetoCatError as e:
         print(f"{_PROG}: error: {e}", file=sys.stderr)
         return 1

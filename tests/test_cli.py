@@ -316,11 +316,17 @@ def test_out_of_range_alpha_and_object_ids_are_one_error_line(capsys):
 # ------------------------------------------------------------ shared paths
 
 def test_csv_unsupported_for_scalar_commands(tmp_path, capsys):
-    target = tmp_path / "mass.csv"
-    code, out, err = run(capsys, ["lambda", CHAIN3, "1,1", "--out", str(target)])
-    assert code == 1
-    assert "CSV output is not available" in err
-    assert not target.exists()
+    target = tmp_path / "result.csv"
+    for argv in (["validate", CHAIN3],
+                 ["lambda", CHAIN3, "1,1"],
+                 ["particle", CHAIN3, "--draws", "2", "--seed", "1"],
+                 ["certify", STAIRCASE, "1,1", "--epsilon", "1"],
+                 ["interleave", STAIRCASE, "1,1", "0,1"],
+                 ["rate", CHAIN3, "2", "1"]):
+        code, out, err = run(capsys, argv + ["--out", str(target)])
+        assert (code, out) == (1, ""), argv
+        assert "CSV output is not available" in err
+        assert not target.exists()
 
 
 def test_out_writes_json_file(tmp_path, capsys):
@@ -487,3 +493,86 @@ def test_stochastic_route_bytes_are_frozen(capsys, command, name, seed):
     code, out, _ = run(capsys, [cmd, str(pc.fixture_path(name)), *options, "--seed", str(seed)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STOCHASTIC_DIGESTS[command, name][seed - 1]
+
+
+# sha256 of each deterministic command's output on every bundled fixture
+# (stdout, or the file ``--out`` writes for ``frontier-csv``), as printed
+# before ``main`` took over each subcommand's load and emit. ``{x}`` and
+# ``{y}`` stand for the fixture's query systems below.
+DETERMINISTIC_ARGS = {
+    "validate": ["validate"],
+    "frontier": ["frontier"],
+    "frontier-csv": ["frontier", "--out", "{csv}"],
+    "lambda": ["lambda", "{x}"],
+    "lambda-exact": ["lambda", "{x}", "--exact"],
+    "certify": ["certify", "{x}", "--epsilon", "1"],
+    "interleave": ["interleave", "{x}", "{y}"],
+    "rate": ["rate", "2", "1"],
+}
+QUERY_SYSTEMS = {"chain3": ("1,1", "0,1"), "cycle2": ("1", "2"),
+                 "staircase": ("1,1", "0,1")}
+DETERMINISTIC_DIGESTS = {
+    ("validate", "chain3"):
+        "b4d88b84148a82f8b139dab1fbc67b48689b5f3c0d7a692b00ffb8b9d0bddcba",
+    ("validate", "cycle2"):
+        "a17fa0ad2e5aa9dc76f0a3d7c4f8ce24fadcbb6a2b646bdfd66be64920030571",
+    ("validate", "staircase"):
+        "12b41ae3dc44a7e2c729c552dab3dda74adf0199c0a4b15605bfd04ae539bc26",
+    ("frontier", "chain3"):
+        "3adc99893c87871de6467937cec2acdb3f17e6b072be5873f9d9da499b5ce4cb",
+    ("frontier", "cycle2"):
+        "18abc442249942bd995da1753b91035dc26dd1f79b64e556250e500a7fdcefdf",
+    ("frontier", "staircase"):
+        "69b6f9d270c654f68dddcce264de6303dfbf434d43d4f196330714f808f064d2",
+    ("frontier-csv", "chain3"):
+        "aa3035c9e39bc2fac827d63ae1aa1920943d686981b9ea3205fc0234b8420ab5",
+    ("frontier-csv", "cycle2"):
+        "34dae1f88218b7ba7f075eb1598bdfeada4cb66c402c2b4feaa0e4212cfedc71",
+    ("frontier-csv", "staircase"):
+        "19a49c01d2d954b0c6c4ea5cba03c87d45588139b2379e85f08484b418849d60",
+    ("lambda", "chain3"):
+        "8ceaaa6c1b793f1767db652d3b9f86b4349cfcb7aa19846bad23735901d8ebcb",
+    ("lambda", "cycle2"):
+        "724cde84cbf95a0bcfc3d6b3c03016d11e447023ef50815a78b3ade12eca63c2",
+    ("lambda", "staircase"):
+        "db4e387c71fd872cf70884157b282dc4fde15595adc269288c57a16688b04e34",
+    ("lambda-exact", "chain3"):
+        "b77f754064cd95d308a95171a823e8483c885437c59dec7babe39b2b831db3ed",
+    ("lambda-exact", "cycle2"):
+        "9b9fb0183f9f1a989ac9d5d841cb3ac3f240cb898ae07a2117e7def2a6f71b9e",
+    ("lambda-exact", "staircase"):
+        "51b6a92e3630a6b352f8c90b81eb998a472ae3f03941872cd0929fab97f58646",
+    ("certify", "chain3"):
+        "d7d3132e77e83c874c7b0aafdf41973d610d593951f3a84628cd54b97876294a",
+    ("certify", "cycle2"):
+        "3c1774d60c86de967b80e29919fe284464dd578d1a42342987946e6f75ffaa0d",
+    ("certify", "staircase"):
+        "d7d3132e77e83c874c7b0aafdf41973d610d593951f3a84628cd54b97876294a",
+    ("interleave", "chain3"):
+        "f07acfb8708e55a0f5a57d0208e773966a92f6a9e941b38dae5fe37159f67ba0",
+    ("interleave", "cycle2"):
+        "a9531ceaca8fd20ab9cf7f6f4c4c730f22259fae630146e6bb3c89856832d546",
+    ("interleave", "staircase"):
+        "f07acfb8708e55a0f5a57d0208e773966a92f6a9e941b38dae5fe37159f67ba0",
+    ("rate", "chain3"):
+        "226b53f3c6a939cd805f246ef1367d7f04eb728ba61feee0f57304eae0a0483f",
+    ("rate", "cycle2"):
+        "226b53f3c6a939cd805f246ef1367d7f04eb728ba61feee0f57304eae0a0483f",
+    ("rate", "staircase"):
+        "10b25f25035190e8ee42d31cf6c303d66a0cdba5e0d2c5065bd261ffa7337b95",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(DETERMINISTIC_DIGESTS))
+def test_deterministic_route_bytes_are_frozen(tmp_path, capsys, command, name):
+    cmd, *options = DETERMINISTIC_ARGS[command]
+    x, y = QUERY_SYSTEMS[name]
+    target = tmp_path / "out.csv"
+    options = [o.format(x=x, y=y, csv=target) for o in options]
+    code, out, err = run(capsys, [cmd, str(pc.fixture_path(name)), *options])
+    assert (code, err) == (0, "")
+    data = out.encode()
+    if command == "frontier-csv":
+        assert out == ""
+        data = target.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DETERMINISTIC_DIGESTS[command, name]
