@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("instance", help="path to an instance JSON file")
-    common.add_argument("--cap", type=int, default=10**6,
+    common.add_argument("--cap", type=_positive_int, default=10**6,
                         help="refuse enumeration beyond this many systems")
     common.add_argument("--close-hom", action="store_true",
                         help="take the reflexive-transitive closure of hom tables on load")
@@ -217,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and unused: results are identical for any value")
 
     def seed_and_budget(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=10**5)
+        p.add_argument("--seed", type=int, default=None,
+                       help="random seed; generated and echoed on stderr when omitted")
+        p.add_argument("--budget", type=_positive_int, default=10**5,
+                       help="rejection-sampling attempts allowed per admissible draw")
 
     command("validate", None, "structural and law checks for an instance file")
 
@@ -236,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact rational jump probabilities and coefficients")
 
     p = command("swarm", answer_swarm, "multi-particle search with reversibility flags")
-    p.add_argument("--particles", type=int, required=True)
-    p.add_argument("--draws", type=int, required=True)
+    p.add_argument("--particles", type=int, required=True, help="number of particles")
+    p.add_argument("--draws", type=int, required=True, help="re-draw rounds per particle")
     p.add_argument("--epsilon", type=int, default=0,
                    help="coarsening steps allowed when reversing an improvement")
     seed_and_budget(p)
@@ -245,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("certify", answer_certify, "is a system within epsilon of the exact frontier")
     p.add_argument("system", help="comma-separated object ids")
-    p.add_argument("--epsilon", type=int, default=0)
+    p.add_argument("--epsilon", type=int, default=0,
+                   help="interleaving distance allowed to a frontier member")
 
     p = command("interleave", answer_interleave, "interleaving distance of two scaled images")
     p.add_argument("first", help="comma-separated object ids")
@@ -253,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=0, help="objective index")
 
     p = command("rate", answer_rate, "bounded-window conversion rate between two objects")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("a", type=int, help="resource object id converted from")
+    p.add_argument("b", type=int, help="resource object id converted into")
+    p.add_argument("--n-max", type=int, default=16,
+                   help="largest number of copies of a or b compared")
 
     return parser
 

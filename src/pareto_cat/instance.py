@@ -11,6 +11,7 @@ machine-readable code such as ``rescat.hom.transitivity``,
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass, field, replace
@@ -154,7 +155,7 @@ def _grid_table(table, k: int, n: int, grid_len: int, size: int, path: str) -> n
     The table needs K^n rows. Rows are checked in rank order: the first
     row with the wrong shape or a value out of ``0..size-1`` is the one
     reported. An int64 array of ``grid_len`` columns, as
-    :func:`_numpy_scale` reads a large section, is taken as it is, and a
+    :func:`_numpy_sections` reads a large section, is taken as it is, and a
     table of int lists is read in one pass; the row scan runs only when
     neither holds.
     """
@@ -209,7 +210,12 @@ def build_instance(doc: dict, cap: int = DEFAULT_CAP, use_closure: bool = False)
             raise LoadError("valuation.kind", path + ".map.kind", f"unknown kind {kind!r}")
         field_name = "entries" if kind == "table" else "h"
         goal = _int(v.get("goal", -1), "valuation.shape", path, "goal")
-        values, = _int_rows([m.get(field_name, [])], "valuation.shape", path, field_name)
+        values = m.get(field_name, [])
+        if kind == "table" and isinstance(values, np.ndarray) and values.dtype == np.int64 \
+                and values.ndim == 1:  # as :func:`_numpy_sections` reads large entries
+            objectives.append(Objective.from_entries(target, goal, values))
+            continue
+        values, = _int_rows([values], "valuation.shape", path, field_name)
         objectives.append(Objective(target=target, goal=goal, kind=kind, **{field_name: values}))
 
     ddoc = doc["distribution"]
@@ -273,66 +279,48 @@ def validate_instance(inst: Instance) -> list:
     return problems
 
 
-# a scale section of at least this many bytes is tried by numpy before json
+# a section of at least this many bytes is tried by numpy before json
 _NUMPY_SCALE_MIN = 1 << 16
-_SCALE_KEY = re.compile(rb'"valuations_scaled"\s*:\s*\[')
+_SECTION_KEY = re.compile(rb'"(valuations_scaled|entries)"\s*:\s*\[')
 
 
-def _numpy_scale(data: bytes) -> Optional[dict]:
-    """The document with ``scale.valuations_scaled`` read by numpy into
-    one int64 array per objective, or None to leave the text to ``json``.
-
-    The section is taken only when it is brackets, commas, JSON
-    whitespace and integers of at most 18 digits with no leading zero,
-    nested exactly objectives x rows x ``grid_len``, and only if the
-    ``NaN`` put in its place, then the document's only ``NaN`` or
-    ``Infinity``, lands at ``scale.valuations_scaled`` when ``json``
-    parses the rest.
-    """
-    key = _SCALE_KEY.search(data)
-    if key is None or len(data) - key.end() < _NUMPY_SCALE_MIN:
-        return None
-    start = key.end() - 1
-    # a section numpy can read holds no quote or brace: it ends before the first one
-    stop = min((i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0),
-               default=start)
-    end = start + len(data[start:stop].rstrip(b" \t\n\r,"))
-    if end - start < _NUMPY_SCALE_MIN:
-        return None
-    hole = []  # what parse_constant returns: no other value in the document is it
-    try:
-        doc = json.loads((data[:start] + b"NaN" + data[end:]).decode("utf-8"),
-                         parse_constant=lambda c: hole.append(c) or hole)
-        sdoc, objs = doc["scale"], len(doc["valuations"])
-        grid_len = sdoc["grid_len"]
-    except (ValueError, RecursionError, LookupError, TypeError):
-        return None
-    if hole != ["NaN"] or sdoc.get("valuations_scaled") is not hole or not (
-            type(grid_len) is int and grid_len > 0 and objs > 0):
-        return None
-    text = np.frombuffer(data, np.uint8, end - start, start)
+def _int_array(text: np.ndarray, shape: tuple) -> Optional[np.ndarray]:
+    """A section's bytes as an int64 array of ``shape``, whose one ``-1``
+    is read from the count of integers; or None unless the bytes are
+    brackets, commas, JSON whitespace and integers of at most 18 digits
+    with no leading zero, nested exactly as ``shape``."""
     digit = (text - 48) < 10  # uint8 wraps below b"0"
     lead = digit.copy()
-    lead[1:] &= ~digit[:-1]  # the first digit of each integer
+    np.greater(digit[1:], digit[:-1], out=lead[1:])  # the first digit of each integer
     # a byte per bracket, comma and integer: JSON whitespace and further digits go
-    tokens = text[lead | ~(digit | (text == 32) | (text == 10) | (text == 13) | (text == 9))]
-    step = 2 * grid_len + 2  # a row's tokens, with the comma after it
-    rows, left = divmod(len(tokens) - 1 - 2 * objs, objs * step)
-    if left or rows < 1 or np.count_nonzero(lead) != objs * rows * grid_len:
+    drop = digit ^ lead
+    if (text <= 32).any():
+        drop |= (text == 32) | (text == 10) | (text == 13) | (text == 9)
+    tokens = text[~drop] if drop.any() else text.copy()
+    del drop
+    count, known = np.count_nonzero(lead), -math.prod(shape)  # known: the other lengths
+    if not count or count % known:
+        return None
+    shape = tuple(count // known if s < 0 else s for s in shape)
+    sizes = [1]  # the tokens of one item at each depth, innermost first
+    for s in reversed(shape):
+        sizes.append(s * (sizes[-1] + 1) + 1)  # s items, s - 1 commas, 2 brackets
+    if len(tokens) != sizes[-1]:
         return None
     at = np.lib.stride_tricks.as_strided(  # where each integer's first digit sits
-        tokens[3:], (objs, rows, grid_len), (rows * step + 2, step, 2))
+        tokens[len(shape):], shape, [size + 1 for size in sizes[-2::-1]])
     first = at - 48
     at[...] = 48
-    row = b"[" + b"0," * (grid_len - 1) + b"0]"
-    table = b"[" + (row + b",") * (rows - 1) + row + b"]"
-    if tokens.tobytes() != b"[" + b",".join([table] * objs) + b"]":
+    want = b"0"
+    for s in reversed(shape):
+        want = b"".join((b"[", (want + b",") * (s - 1), want, b"]"))
+    if tokens.tobytes() != want:
         return None
     vals = first.astype(np.int64)
-    del tokens, at, first  # freed before the passes over longer integers
+    del tokens, at, first, want  # freed before the passes over longer integers
     # one pass per further digit, if some integer has more than one
     flat, run = vals.reshape(-1), lead
-    for j in range(1, 19 if np.count_nonzero(digit) > vals.size else 1):
+    for j in range(1, 19 if np.count_nonzero(digit) > count else 1):
         run = run[:-1] & digit[j:]  # run[i]: the integer starting at i has a digit at i + j
         if not run.any():
             break
@@ -341,7 +329,60 @@ def _numpy_scale(data: bytes) -> Optional[dict]:
         if j == 18 or j == 1 and np.any(head[more] == 0):  # 19 digits, or a leading zero
             return None
         head[more] = head[more] * 10 + (text[j:][run] - 48)
-    sdoc["valuations_scaled"] = list(vals)
+    return vals
+
+
+def _numpy_sections(data: bytes) -> Optional[dict]:
+    """The document with its large integer sections read by numpy into
+    int64 arrays, or None to leave the text to ``json``.
+
+    The sections are ``scale.valuations_scaled``, one (rows, ``grid_len``)
+    array per objective, and the ``entries`` of each table map, one flat
+    array. A section is tried when its text is at least
+    ``_NUMPY_SCALE_MIN`` bytes. Every tried section must be read by
+    :func:`_int_array`, and the ``NaN`` put in its place must land at its
+    path when ``json`` parses the rest, with these ``NaN`` the document's
+    only ``NaN`` or ``Infinity``; else the whole text goes to ``json``.
+    """
+    if len(data) < _NUMPY_SCALE_MIN:
+        return None
+    spans, at = [], 0
+    while key := _SECTION_KEY.search(data, at):
+        start = key.end() - 1
+        # a section numpy can read holds no quote or brace: it ends before the first one
+        at = end = min((i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0),
+                       default=len(data))
+        while data[end - 1] in b" \t\n\r,":
+            end -= 1
+        if end - start >= _NUMPY_SCALE_MIN:
+            spans.append((key[1].decode(), start, end))
+    if not spans:
+        return None
+    cuts = [0, *(i for _, start, end in spans for i in (start, end)), len(data)]
+    holes = [[] for _ in spans]  # what parse_constant returns: no other value is one of them
+    found, calls = iter(holes), []
+    try:
+        rest = b"NaN".join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2])).decode("utf-8")
+        doc = json.loads(rest, parse_constant=lambda c: calls.append(c) or next(found, None))
+        objs = len(doc["valuations"])
+        tables = [v["map"] for v in doc["valuations"] if v["map"]["kind"] == "table"]
+        sdoc = doc["scale"] if any(k == "valuations_scaled" for k, _, _ in spans) else {}
+        grid_len = sdoc.get("grid_len")
+    except (ValueError, RecursionError, LookupError, TypeError, AttributeError):
+        return None
+    if calls != ["NaN"] * len(holes):
+        return None
+    for (key, start, end), hole in zip(spans, holes):
+        if key == "entries":
+            home, shape = next((m for m in tables if m.get("entries") is hole), {}), (-1,)
+        elif type(grid_len) is int and grid_len > 0 and objs > 0:
+            home, shape = sdoc, (objs, -1, grid_len)
+        else:
+            return None
+        if home.get(key) is not hole or (arr := _int_array(
+                np.frombuffer(data, np.uint8, end - start, start), shape)) is None:
+            return None
+        home[key] = arr if key == "entries" else list(arr)
     return doc
 
 
@@ -350,7 +391,7 @@ def _read(source):
         return source
     try:
         data = Path(source).read_bytes()
-        return _numpy_scale(data) or json.loads(data.decode("utf-8"))
+        return _numpy_sections(data) or json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:
         raise LoadError("parse.json", str(source), str(e))
     except OSError as e:

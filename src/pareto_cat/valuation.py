@@ -71,6 +71,13 @@ class Objective:
     def array(self) -> np.ndarray:  # the map's entries or h, converted once
         return np.asarray(self.entries if self.kind == "table" else self.h)
 
+    @classmethod
+    def from_entries(cls, target: TargetCategory, goal: int, entries: np.ndarray) -> "Objective":
+        """A table objective from an int64 array of its entries, copied as ``array``."""
+        obj = cls(target=target, goal=goal, kind="table", entries=tuple(entries.tolist()))
+        obj.__dict__["array"] = entries.copy()  # filled, so never converted from the tuple
+        return obj
+
 
 @dataclass(frozen=True)
 class ObjectDistribution:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import pareto_cat as pc
-from pareto_cat.cli import main
+from pareto_cat.cli import build_parser, main
 
 from conftest import fixture_doc, many_objectives_doc
 
@@ -425,6 +425,29 @@ def test_usage_errors_exit_2(capsys):
             main(command + ["--threads", "0"])
         assert e.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["particle", CHAIN3, "--draws", "2", "--seed", "1", "--budget", "-5"],
+    ["particle", CHAIN3, "--draws", "2", "--seed", "1", "--budget", "0"],
+    ["frontier", CHAIN3, "--cap", "-1"],
+    ["frontier", CHAIN3, "--cap", "0"],
+], ids=["budget-negative", "budget-zero", "cap-negative", "cap-zero"])
+def test_non_positive_budget_and_cap_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a positive integer" in err
+
+
+def test_every_option_has_help():
+    """``--help`` describes every argument of every subcommand."""
+    sub, = (a for a in build_parser()._actions if a.choices)
+    missing = [f"{name} {'/'.join(a.option_strings) or a.dest}"
+               for name, parser in sub.choices.items() for a in parser._actions
+               if a.option_strings != ["-h", "--help"] and not a.help]
+    assert missing == []
 
 
 # ------------------------------------------------------- frozen output bytes

@@ -1,6 +1,6 @@
 """The loader's integer rule, its one-pass scale tables, its numpy
-reader for large scale sections, its collector pause, and a fuzz of
-whole documents and single-field mutations."""
+reader for large scale sections and table entries, its collector pause,
+and a fuzz of whole documents and single-field mutations."""
 
 import copy
 import gc
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import pareto_cat as pc
 from pareto_cat.cli import main
 from pareto_cat import instance
-from pareto_cat.instance import _grid_table, _numpy_scale
+from pareto_cat.instance import _grid_table, _numpy_sections
 
 from conftest import FIXTURES, fixture_doc
 
@@ -144,16 +144,17 @@ def test_grid_table_matches_the_reference(case):
         assert np.array_equal(got, want)
 
 
-# ------------------------------------------------ the numpy scale reader
+# ------------------------------------------------ the numpy section reader
 
-def scale_text(doc: dict, section: str, rnd, grid_len: int, key: str = "valuations_scaled",
-               extra: str = "") -> str:
-    """``doc`` as JSON text with ``section`` as its scale tables, the scale
-    object first or last and ``grid_len`` before or after the tables."""
-    fields = [f'"grid_len": {grid_len}', f'"{key}": {section}']
-    scale = '"scale": {' + ", ".join(fields[::rnd.choice((1, -1))]) + extra + "}"
-    rest = json.dumps({k: v for k, v in doc.items() if k != "scale"})[1:-1]
-    return "{" + (f"{scale}, {rest}" if rnd.random() < 0.5 else f"{rest}, {scale}") + "}"
+PLACEHOLDER = "@section@"
+
+
+def section_text(doc: dict, rnd, field: str, key: str, section: str, extra: str = "") -> str:
+    """``doc`` as JSON text, its top-level fields in random order, with the
+    ``field`` that holds ``PLACEHOLDER`` written as ``key`` (the field's
+    name, perhaps escaped), ``section`` and ``extra``."""
+    text = json.dumps(dict(rnd.sample(sorted(doc.items()), len(doc))))
+    return text.replace(f'"{field}": "{PLACEHOLDER}"', f'"{key}": {section}{extra}')
 
 
 def render(value, rnd) -> str:
@@ -165,102 +166,161 @@ def render(value, rnd) -> str:
             + "]")
 
 
-# one token of a table replaced: its old text in, its new text out
+# one token of a section replaced: its old text in, its new text out
 TOKEN_MUTATIONS = {"float": lambda v: v + ".0", "exponent": lambda v: v + "e0",
                    "true": lambda v: "true", "minus": lambda v: "-" + v,
                    "leading zero": lambda v: "0" + v, "19 digits": lambda v: "1" + "0" * 18,
-                   "string": lambda v: f'"{v}"'}
-SHAPE_MUTATIONS = ("row+", "row-", "column+", "column-", "objective+", "objective-",
-                   "value moved to the next row")
+                   "string": lambda v: f'"{v}"', "nested list": lambda v: f"[{v}]"}
+SCALE_SHAPE_MUTATIONS = ("row+", "row-", "column+", "column-", "objective+", "objective-",
+                         "value moved to the next row")
+ENTRY_SHAPE_MUTATIONS = ("entry+", "entry-")
 KEY_MUTATIONS = ("duplicate key", "key in a metadata string", "key in metadata",
                  "constant in metadata", "escaped key", "trailing junk")
+# the mutations after which the reader leaves the whole text to json
+DECLINES = {*TOKEN_MUTATIONS, *SCALE_SHAPE_MUTATIONS, "duplicate key", "key in metadata",
+            "constant in metadata", "trailing junk", "entries in a composed map"}
+
+
+def mutate_token(values: list, rnd, mutation: str) -> None:
+    """Apply a token mutation to one random value of nested lists."""
+    at = values
+    while isinstance(at[0], list):
+        at = rnd.choice(at)
+    i = rnd.randrange(len(at))
+    at[i] = TOKEN_MUTATIONS[mutation](at[i])
 
 
 @st.composite
-def scale_cases(draw):
-    """The staircase document with random scale tables, random whitespace
-    and at most one mutation; returns ``(text, mutation)``."""
+def section_cases(draw, where: str):
+    """The staircase document with random scale tables (``where`` is
+    ``"scale"``) or random entries of its second objective (``"entries"``),
+    random whitespace in them and at most one mutation; returns
+    ``(text, mutation)``."""
     rnd = draw(st.randoms(use_true_random=False))
-    grid_len = draw(st.integers(1, 4))
     top = draw(st.sampled_from([3, 3, 9, 10**18 - 1]))
-    tables = [[[str(rnd.randint(0, top)) for _ in range(grid_len)] for _ in range(16)]
-              for _ in range(2)]
-    mutation = draw(st.sampled_from((None,) * 4 + tuple(TOKEN_MUTATIONS) + SHAPE_MUTATIONS
-                                    + KEY_MUTATIONS))
-    table, row = rnd.choice(tables), rnd.randrange(16)
+    shapes = SCALE_SHAPE_MUTATIONS if where == "scale" else ENTRY_SHAPE_MUTATIONS
+    extras = ("entries in a composed map",) if where == "entries" else ()
+    mutation = draw(st.sampled_from((None,) * 4 + tuple(TOKEN_MUTATIONS) + shapes
+                                    + KEY_MUTATIONS + extras))
+    doc = fixture_doc("staircase")
+    if where == "scale":
+        grid_len = draw(st.integers(1, 4))
+        values = [[[str(rnd.randint(0, top)) for _ in range(grid_len)] for _ in range(16)]
+                  for _ in range(2)]
+        table, row = rnd.choice(values), rnd.randrange(16)
+        if mutation == "row+":
+            table.insert(row, list(table[row]))
+        elif mutation == "row-":
+            del table[row]
+        elif mutation == "column+":
+            table[row].append("0")
+        elif mutation == "column-":
+            table[row].pop()
+        elif mutation == "value moved to the next row":
+            table[(row + 1) % 16].append(table[row].pop())
+        elif mutation == "objective+":
+            values.append(table)
+        elif mutation == "objective-":
+            values.remove(table)
+        field, home, small = "valuations_scaled", doc["scale"], [[["0"] * grid_len] * 16] * 2
+        fields = [("grid_len", grid_len), (field, PLACEHOLDER)]
+    else:
+        values = [str(rnd.randint(0, top)) for _ in range(16)]
+        i = rnd.randrange(16)
+        if mutation == "entry+":
+            values.insert(i, values[i])
+        elif mutation == "entry-":
+            del values[i]
+        elif mutation == "entries in a composed map":
+            doc["valuations"][0]["map"]["entries"] = [0] * 16
+        field, home, small = "entries", doc["valuations"][1]["map"], ["0"] * 16
+        fields = [("kind", "table"), (field, PLACEHOLDER)]
     if mutation in TOKEN_MUTATIONS:
-        g = rnd.randrange(grid_len)
-        table[row][g] = TOKEN_MUTATIONS[mutation](table[row][g])
-    elif mutation == "row+":
-        table.insert(row, list(table[row]))
-    elif mutation == "row-":
-        del table[row]
-    elif mutation == "column+":
-        table[row].append("0")
-    elif mutation == "column-":
-        table[row].pop()
-    elif mutation == "value moved to the next row":
-        table[(row + 1) % 16].append(table[row].pop())
-    elif mutation == "objective+":
-        tables.append(table)
-    elif mutation == "objective-":
-        tables.remove(table)
-    doc, section = fixture_doc("staircase"), render(tables, rnd)
-    key, extra = "valuations_scaled", ""
+        mutate_token(values, rnd, mutation)
+    home.clear()
+    home.update(fields[::rnd.choice((1, -1))])
+    section = render(values, rnd)
+    key, extra = field, ""
     if mutation == "duplicate key":
-        extra = ', "valuations_scaled": ' + render([[["0"] * grid_len] * 16] * 2, rnd)
+        extra = f', "{field}": ' + render(small, rnd)
     elif mutation == "key in a metadata string":
-        doc["metadata"]["name"] = '"valuations_scaled": ' + section
-    elif mutation == "key in metadata":
-        doc["metadata"]["valuations_scaled"] = [[[0]]]
+        doc["metadata"]["name"] = f'"{field}": ' + section
+    elif mutation == "key in metadata":  # integers, so only where its hole lands is wrong
+        doc["metadata"][field] = json.loads(render(small, rnd))
     elif mutation == "constant in metadata":
         doc["metadata"]["limit"] = rnd.choice((math.nan, math.inf, -math.inf))
     elif mutation == "escaped key":
-        key = "valuations\\u005fscaled"
-    text = scale_text(doc, section, rnd, grid_len, key, extra)
+        key = field.replace("_", "\\u005f") if where == "scale" else "entri\\u0065s"
+    text = section_text(doc, rnd, field, key, section, extra)
     return text + (rnd.choice((" x", "]", "{}")) if mutation == "trailing junk" else ""), mutation
 
 
 def load_outcome(path):
-    """The scale tables and the problems of a lenient load, or the code and
-    path of the LoadError it raises."""
+    """The scale tables, the objectives' entries and arrays and the problems
+    of a lenient load, or the code and path of the LoadError it raises."""
     try:
         inst, problems = pc.load_instance(path, strict=False)
     except pc.LoadError as e:
         return e.code, e.path
     return ([(t.dtype, t.shape, t.tolist()) for t in inst.scale.tables],
+            [(o.entries, {type(x) for x in o.entries or ()}, o.array.dtype, o.array.tolist())
+             for o in inst.objectives],
             [(p.code, p.path) for p in problems])
 
 
-@given(scale_cases())
+@given(section_cases("scale"))
 @settings(max_examples=300)
 def test_numpy_scale_reader_matches_json_or_declines(fuzz_file, case):
-    text, mutation = case
+    check_numpy_reader(fuzz_file, "scale", *case)
+
+
+@given(section_cases("entries"))
+@settings(max_examples=300)
+def test_numpy_entries_reader_matches_json_or_declines(fuzz_file, case):
+    check_numpy_reader(fuzz_file, "entries", *case)
+
+
+def check_numpy_reader(fuzz_file, where: str, text: str, mutation) -> None:
+    """Both readers give the same outcome for ``text``, and the numpy
+    reader declines exactly after the mutations that should make it."""
     fuzz_file.write_text(text, encoding="utf-8")
     want = load_outcome(fuzz_file)  # a small file never passes the size gate
     with mock.patch.object(instance, "_NUMPY_SCALE_MIN", 0):
-        read = _numpy_scale(text.encode())
+        read = _numpy_sections(text.encode())
         assert load_outcome(fuzz_file) == want
-    # the reader reads the first "valuations_scaled" key, and a metadata
-    # field of that name ahead of the scale section makes it decline
-    scale_first = text.find('"valuations_scaled"') > text.find('"scale"')
-    assert (read is not None) == (mutation in (None, "key in a metadata string")
-                                  or mutation == "key in metadata" and scale_first), mutation
+    # every key of a section's name is read, so one in metadata makes the
+    # reader decline; an escaped key is not seen, and json reads its section
+    assert (read is None) == (mutation in DECLINES), mutation
     if read is not None:
-        tables = read["scale"]["valuations_scaled"]
         ref = json.loads(text)
-        assert [(t.dtype, t.shape) for t in tables] == [
-            (np.dtype(np.int64), np.array(t).shape) for t in ref["scale"]["valuations_scaled"]]
-        read["scale"]["valuations_scaled"] = [t.tolist() for t in tables]
+        tables = read["scale"]["valuations_scaled"]
+        entries = read["valuations"][1]["map"]["entries"]
+        by_numpy = {"scale", "entries"} - ({where} if mutation == "escaped key" else set())
+        if "scale" in by_numpy:
+            assert [(t.dtype, t.shape) for t in tables] == [
+                (np.dtype(np.int64), np.array(t).shape) for t in ref["scale"]["valuations_scaled"]]
+            read["scale"]["valuations_scaled"] = [t.tolist() for t in tables]
+        if "entries" in by_numpy:
+            want_entries = ref["valuations"][1]["map"]["entries"]
+            assert (entries.dtype, entries.shape) == (np.dtype(np.int64), (len(want_entries),))
+            read["valuations"][1]["map"]["entries"] = entries.tolist()
         assert read == ref
 
 
-def big_staircase(n: int) -> dict:
-    """The staircase category at system size ``n``, two composed objectives
-    and a scale row per system that walks down from its rank mod 4."""
+def big_staircase(n: int, table: bool = False) -> dict:
+    """The staircase category at system size ``n`` and a scale row per
+    system that walks down from its rank mod 4. Both objectives are
+    composed, or with ``table`` the second sends rank ``r`` to ``r mod 12``
+    in a 12-object chain."""
     doc = fixture_doc("staircase")
     doc["system_size"] = n
     doc["valuations"][1] = {**doc["valuations"][0], "goal": 0}
+    if table:
+        size = 12
+        doc["valuations"][1] = {
+            "target": {"objects": size, "iso_classes": [[a] for a in range(size)],
+                       "hom": [[int(a >= b) for b in range(size)] for a in range(size)]},
+            "goal": 0, "map": {"kind": "table", "entries": [r % size for r in range(4**n)]}}
     doc["scale"]["valuations_scaled"] = [
         [[max(r % 4 - s - a, 0) for s in range(4)] for r in range(4**n)] for a in range(2)]
     return doc
@@ -272,7 +332,7 @@ def test_a_large_scale_section_loads_by_numpy_as_by_json(tmp_path):
     p.write_text(json.dumps(doc))
     data = p.read_bytes()
     assert len(data) - data.index(b'"valuations_scaled"') > instance._NUMPY_SCALE_MIN
-    assert _numpy_scale(data) is not None
+    assert _numpy_sections(data) is not None
     inst = pc.load_instance(p)
     assert inst == pc.load_instance(doc)
     assert [t.dtype for t in inst.scale.tables] == [np.dtype(np.int64)] * 2
@@ -285,11 +345,39 @@ def test_a_large_scale_section_loads_by_numpy_as_by_json(tmp_path):
     assert (e.value.code, e.value.path) == ("scale.range", "scale.valuations_scaled[1][5]")
 
 
+def test_a_large_table_loads_by_numpy_as_by_json(tmp_path):
+    doc = big_staircase(8, table=True)
+    del doc["scale"]
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps(doc))
+    entries = doc["valuations"][1]["map"]["entries"]
+    assert isinstance(_numpy_sections(p.read_bytes())["valuations"][1]["map"]["entries"],
+                      np.ndarray)
+    inst = pc.load_instance(p)
+    assert inst == pc.load_instance(doc)
+    obj = inst.objectives[1]
+    assert obj.array.dtype == np.int64 and obj.array.tolist() == entries
+    assert type(obj.entries[0]) is int and {type(x) for x in obj.entries} == {int}
+    assert pc.emit_instance(inst)["valuations"][1]["map"]["entries"] == entries
+    # an array in a caller's document is copied, not shared with the instance
+    arr = np.array(entries, dtype=np.int64)
+    doc["valuations"][1]["map"]["entries"] = arr
+    obj = pc.load_instance(doc).objectives[1]
+    assert obj == inst.objectives[1]
+    arr[:] = 0
+    assert obj.array.tolist() == list(obj.entries) == entries
+    doc["valuations"][1]["map"]["entries"] = entries
+    entries[5] = 12
+    p.write_text(json.dumps(doc))
+    with pytest.raises(pc.LoadError) as e:
+        pc.load_instance(p)
+    assert (e.value.code, e.value.path) == ("valuation.range", "valuations[1].map.entries")
+
+
 def test_the_numpy_reader_holds_less_than_json():
     """The reader's transient memory, its arrays included, stays below
-    what ``json`` holds for the same text."""
-    data = json.dumps(big_staircase(7), separators=(",", ":")).encode()
-
+    what ``json`` holds for the same text: a large scale section, and one
+    with a large table's entries as well, as in the frontier benchmark."""
     def peak(read) -> int:
         tracemalloc.start()
         try:
@@ -298,7 +386,13 @@ def test_the_numpy_reader_holds_less_than_json():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: _numpy_scale(data)) < 0.8 * peak(lambda: json.loads(data.decode()))
+    for doc in (big_staircase(7), big_staircase(8, table=True)):
+        data = json.dumps(doc, separators=(",", ":")).encode()
+        read = _numpy_sections(data)
+        assert [isinstance(v["map"].get("entries"), np.ndarray) for v in read["valuations"]] \
+            == [False, "entries" in doc["valuations"][1]["map"]]
+        del read
+        assert peak(lambda: _numpy_sections(data)) < 0.8 * peak(lambda: json.loads(data.decode()))
 
 
 def test_a_non_ascii_document_loads_whatever_the_locale(tmp_path):
