@@ -4,23 +4,25 @@ Subcommands operate on instance files (JSON documents describing the
 resource preorder, objectives, object weights and optional scale
 tables). ``main`` loads the instance strictly, calls the subcommand's
 ``answer_<command>(inst, args)`` and emits the ``(doc, table)`` it
-returns once: ``doc`` as JSON with sorted keys on stdout or to ``--out``;
-``table`` (frontier and swarm; None for the rest) as CSV rows, header
-first, to an ``--out`` ending in ``.csv``. ``validate`` alone loads
-leniently, so that it can report every problem. Exit status: 0 on
-success, 1 on any domain error (bad instance, failed sampling,
-unwritable ``--out``), 2 on usage errors.
+returns once: ``doc``, a document (its text by :mod:`.emit`) or the
+pieces of its text, as JSON with sorted keys on stdout or to ``--out``;
+``table`` (frontier and swarm; None for the rest), the pieces of a CSV
+text, header first, to an ``--out`` ending in ``.csv``: fields that
+``csv.writer`` never quotes (integers, and digits, spaces, ``:`` and
+``;``), joined by commas, each line ended by ``\r\n``. ``validate``
+alone loads leniently, so that it can report every problem. Exit
+status: 0 on success, 1 on any domain error (bad instance, failed
+sampling, unwritable ``--out``), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 import numpy as np
 
+from . import emit
 from .errors import CapacityError, ParetoCatError, SamplingError
 from .instance import load_instance
 from .particle import run_particle
@@ -33,21 +35,17 @@ from .valuation import minorization_mass, pareto_frontier
 _PROG = "pareto-cat"
 
 
-def _emit(out: str | None, doc: dict, table=None) -> None:
+def _emit(out: str | None, doc, table=None) -> None:
     as_csv = out is not None and out.endswith(".csv")
     if as_csv and table is None:
         raise ParetoCatError(f"CSV output is not available for this command: {out}")
-    if not as_csv:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if out is None:
-            sys.stdout.write(text)
-            return
+    text = table if as_csv else [emit.text(doc)] if isinstance(doc, dict) else doc
+    if out is None:
+        sys.stdout.writelines(text)
+        return
     try:
         with open(out, "w", newline="" if as_csv else None) as fh:
-            if as_csv:
-                csv.writer(fh).writerows(table)
-            else:
-                fh.write(text)
+            fh.writelines(text)
     except OSError as e:
         raise ParetoCatError(f"cannot write {out}: {e.strerror or e}") from e
 
@@ -105,13 +103,15 @@ def answer_frontier(inst, args):
     result = pareto_frontier(inst.system)
 
     def table():
-        yield ["group", "representative", "member"]
-        members = [" ".join(map(str, m)) for m in result.rows.tolist()]
-        for gi, (a, b) in enumerate(result.spans):
-            for m in members[a:b]:
-                yield [gi, members[a], m]
+        yield "group,representative,member\r\n"
+        values_text, last = " ".join(["%d"] * inst.n), -1
+        for g, values in result.members():
+            member = values_text % values
+            if g != last:
+                first, last = member, g
+            yield "%d,%s,%s\r\n" % (g, first, member)
 
-    return result.to_dict(), table()
+    return result.json_pieces(), table()
 
 
 def answer_lambda(inst, args):
@@ -148,10 +148,10 @@ def answer_swarm(inst, args):
     report = run_swarm(inst, config)
 
     def table():
-        yield ["particle", "draw_index", "system", "epsilon", "witness"]
+        yield "particle,draw_index,system,epsilon,witness\r\n"
         for f in report.flagged:
-            yield [f.particle, f.draw_index, " ".join(map(str, f.functor)), f.epsilon,
-                   ";".join(f"{p}:{d}" for p, d in f.witness)]
+            yield "%d,%d,%s,%d,%s\r\n" % (f.particle, f.draw_index, " ".join(map(str, f.functor)),
+                                           f.epsilon, ";".join(f"{p}:{d}" for p, d in f.witness))
 
     return report.to_dict(), table()
 

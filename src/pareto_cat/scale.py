@@ -34,7 +34,9 @@ def first_bad_row(table, hom) -> Optional[tuple]:
     if t.size and not 0 <= t.min() <= t.max() < len(hom):
         row = ((t < 0) | (t >= len(hom))).any(axis=1).argmax()
         return "range", int(row), f"scale values out of range for a {len(hom)}-object category"
-    arrows = hom.ravel()[t[:, :-1] * len(hom) + t[:, 1:]]
+    # the pair index a * K + b, in a dtype that holds K^2 whatever t's dtype
+    pairs = t[:, :-1].astype(np.min_scalar_type(len(hom) ** 2 - 1)) * len(hom) + t[:, 1:]
+    arrows = hom.ravel()[pairs]
     if not arrows.all():
         r, s = np.argwhere(~arrows)[0]
         return ("transition", int(r),
@@ -159,7 +161,8 @@ def check_convergence(chain: Sequence[ScaleObject], eps: int, n0: int = 0) -> bo
 class _ScaleTables:
     """The instance's scale tables read by rank, for one shift ``eps``.
 
-    Per objective, the ``(systems, grid_len)`` int table and its target's
+    Per objective, the ``(systems, grid_len)`` table of object ids, in
+    whatever integer dtype the instance holds it, and its target's
     hom matrix. Every row is checked once, as :class:`ScaleObject` checks
     one, so a hand-built instance fails with the same
     :class:`StructureError`. Reversibility is memoised per rank pair.
@@ -175,7 +178,7 @@ class _ScaleTables:
             bad = first_bad_row(table, obj.target.hom)
             if bad:
                 raise StructureError(bad[2])
-            t = np.asarray(table, dtype=np.int64)
+            t = np.asarray(table)  # indexes only: a narrow table stays narrow
             hom = np.asarray(obj.target.hom, dtype=bool)
             top = t.shape[1] - 1
             # row e, for e = 0..min(eps, top): grid point s advanced by e

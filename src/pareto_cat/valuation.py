@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -73,9 +75,10 @@ class Objective:
 
     @classmethod
     def from_entries(cls, target: TargetCategory, goal: int, entries: np.ndarray) -> "Objective":
-        """A table objective from an int64 array of its entries, copied as ``array``."""
+        """A table objective from an integer array of its entries, copied
+        as the int64 ``array``."""
         obj = cls(target=target, goal=goal, kind="table", entries=tuple(entries.tolist()))
-        obj.__dict__["array"] = entries.copy()  # filled, so never converted from the tuple
+        obj.__dict__["array"] = entries.astype(np.int64)  # so never converted from the tuple
         return obj
 
 
@@ -131,14 +134,14 @@ class ObjectDistribution:
         """
         if exact:
             denom = math.lcm(*(w.denominator for w in self.weights))
-            nums = np.array([int(w * denom) for w in self.weights], dtype=object)
-            numerator = sum(nums[systems].prod(axis=1).tolist())
-            return Fraction(numerator, denom ** systems.shape[1])
-        w = self.as_floats[systems]
-        products = np.ones(len(systems))
-        for j in range(systems.shape[1]):
-            products = products * w[:, j]
-        return float(sum(products.tolist()))
+            weights = np.array([int(w * denom) for w in self.weights], dtype=object)
+        else:
+            weights = self.as_floats
+        products = np.ones(len(systems), dtype=weights.dtype)
+        for column in systems.T:  # a column at a time, never a (rows, n) array of weights
+            products = products * weights[column]
+        total = sum(products.tolist())
+        return Fraction(total, denom ** systems.shape[1]) if exact else float(total)
 
     def tuple_weight(self, values: Sequence[int], exact: bool = False):
         """Product-measure weight of one system."""
@@ -195,9 +198,13 @@ class ValuationSystem:
         return acc
 
     def digits(self, ranks) -> np.ndarray:
-        """The systems at the given ranks, one row of n object ids each."""
-        k = self.cat.size
-        return np.asarray(ranks)[:, None] // k ** np.arange(self.n - 1, -1, -1) % k
+        """The systems at the given ranks, one row of n object ids each, in the
+        least unsigned dtype that holds an object id, written a column at a time."""
+        k, ranks = self.cat.size, np.asarray(ranks)
+        rows = np.empty((len(ranks), self.n), np.min_scalar_type(k - 1))
+        for j in reversed(range(self.n)):
+            ranks, rows[:, j] = np.divmod(ranks, k)
+        return rows
 
     @cached_property
     def image_tables(self) -> tuple:
@@ -256,10 +263,12 @@ class ValuationSystem:
     @cached_property
     def iso_representatives(self) -> np.ndarray:
         """Per rank, the rank of the least system isomorphic to it: every
-        object replaced by the least member of its iso class."""
+        object replaced by the least member of its iso class, in the least
+        unsigned dtype that holds a rank."""
         k = self.cat.size
         least = np.array([self.cat.iso_classes[c][0] for c in self.cat.iso_class_of])
-        return self._fold(0, lambda acc, v: acc * k + least[v])
+        return self._fold(0, lambda acc, v: acc * k + least[v]).astype(
+            np.min_scalar_type(self.functor_count - 1))
 
     def rank(self, values: Sequence[int]) -> int:
         if len(values) != self.n:
@@ -382,6 +391,9 @@ def minorization_mass(system: ValuationSystem, dist: ObjectDistribution,
     return dist.mass(system.digits(_improving_ranks(system, phi)), exact=exact)
 
 
+_CHUNK_ROWS = 1 << 12  # frontier rows read at a time by FrontierResult.members
+
+
 @dataclass(frozen=True)
 class FrontierGroup:
     representative: tuple
@@ -431,6 +443,30 @@ class FrontierResult:
             "functor_count": self.functor_count,
             "frontier_count": len(rows),
         }
+
+    def members(self):
+        """Each member as ``(group index, row tuple)``, ``_CHUNK_ROWS`` rows at a time."""
+        ends = np.asarray(self.ends, dtype=np.intp)
+        for start in range(0, len(self.rows), _CHUNK_ROWS):
+            rows = self.rows[start:start + _CHUNK_ROWS]
+            groups = np.searchsorted(ends, np.arange(start, start + len(rows)), side="right")
+            yield from zip(groups.tolist(), map(tuple, rows.tolist()))
+
+    def json_pieces(self):
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n"`` in
+        pieces, from :meth:`members`: the text and the document are never whole."""
+        n = self.rows.shape[1]  # a member's format; the representative is one level up
+        member = "[" + ",".join(["\n          %d"] * n) + "\n        ]" if n else "[]"
+        yield ('{\n  "admissible_count": %d,\n  "frontier_count": %d,\n  "functor_count": %d,'
+               '\n  "groups": [' % (self.admissible_count, len(self.rows), self.functor_count))
+        close = ""  # the last group's close, yielded with the next group's opening
+        for _, group in groupby(self.members(), itemgetter(0)):
+            first = member % next(group)[1]
+            yield close + '\n    {\n      "members": [\n        ' + first
+            for _, values in group:
+                yield ",\n        " + member % values
+            close = '\n      ],\n      "representative": ' + first.replace("\n  ", "\n") + "\n    },"
+        yield close[:-1] + "\n  ]\n}\n" if close else "]\n}\n"
 
 
 def frontier_ranks(system: ValuationSystem) -> np.ndarray:

@@ -57,6 +57,22 @@ def many_objectives_doc(count: int) -> dict:
     }
 
 
+def worst_case_doc(n: int) -> dict:
+    """The chain 0 -> 1 as resource category, its tensor capped at 1, and
+    one composed objective, the identity into the same chain, with goal 1.
+    Every one of the 2^n systems is admissible, and every one but
+    (0, ..., 0) is on the frontier, in a group of its own: at n = 19 the
+    frontier's text is the largest a 300-byte document makes under the
+    default cap."""
+    chain = {"objects": 2, "hom": [[1, 1], [0, 1]], "iso_classes": [[0], [1]]}
+    return {
+        "category": {**chain, "unit": 0, "tensor": [[0, 1], [1, 1]]},
+        "system_size": n,
+        "valuations": [{"target": chain, "goal": 1, "map": {"kind": "composed", "h": [0, 1]}}],
+        "distribution": {"weights": [0.5, 0.5]},
+    }
+
+
 # ---------------------------------------------------------------- strategies
 
 def level_category(draw, size, max_level=None):

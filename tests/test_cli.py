@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 import pareto_cat as pc
 from pareto_cat.cli import build_parser, main
 
-from conftest import fixture_doc, many_objectives_doc
+from conftest import FIXTURES, fixture_doc, many_objectives_doc, worst_case_doc
 
 CHAIN3 = str(pc.fixture_path("chain3"))
 CYCLE2 = str(pc.fixture_path("cycle2"))
@@ -252,6 +255,88 @@ def test_csv_rows_match_json_output(tmp_path, capsys, argv, rows):
     with open(target, newline="") as fh:
         written = list(csv.reader(fh))
     assert written[1:] == rows(doc) != []
+
+
+def _csv_writer_text(rows) -> bytes:
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows(rows)
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv, header, rows", [
+    *((["frontier", str(pc.fixture_path(name))], ["group", "representative", "member"],
+      _frontier_rows) for name in FIXTURES),
+    (["swarm", STAIRCASE, "--particles", "8", "--draws", "20", "--epsilon", "1",
+      "--seed", "2026"], ["particle", "draw_index", "system", "epsilon", "witness"],
+     _flag_rows),
+])
+def test_csv_text_is_what_csv_writer_writes(tmp_path, capsys, argv, header, rows):
+    """The CSV text is written by format strings; ``csv.writer`` would
+    write the same bytes from the JSON document's rows."""
+    code, doc, _ = run_json(capsys, argv)
+    target = tmp_path / "out.csv"
+    assert run(capsys, argv + ["--out", str(target)])[0] == code == 0
+    assert target.read_bytes() == _csv_writer_text([header] + rows(doc))
+
+
+# ------------------------------------------- the worst case at the default cap
+
+# sha256 of ``frontier --out x.csv`` on worst_case_doc(n), n = 0..8, as
+# ``csv.writer`` wrote it before the CSV text was written by format strings
+WORST_CASE_CSV_DIGESTS = (
+    "80db39acf4749ff002e11dba21983d34ae8c9ad1847d07da5c059c217852e52f",
+    "f4561379a9dedcc30dc64d689050afef0f0e34261d761d5dfac050bc5095cb99",
+    "4e153f91a578d286475ecde6609b40708d33b2877cc57d81f870c8beced97cd1",
+    "6bf7ba4295ce71fbb479d0368ef7a86c5cc4bd69f327f465419d825239a4a665",
+    "5fe1b5e61f4d0a43af0f33cde044c351650c7f2d7b70ce5fb297d1c908236db1",
+    "eddb50eafd2baccd42711619bae01530aebc2f11535a6b76123da40879cdf4a0",
+    "d27f0678f6a29959c1783277f404ed40ff61eb14ac578e2ebff3e8b856a277bd",
+    "0f667ede01748155351ede40f9e59ba0c67ad24db20d0f20f6c05d46c070a242",
+    "75e8d7160146058fe52cbb571c318aefa2117f2c334aa8de7e5b4146ac9d00e5",
+)
+
+
+@pytest.mark.parametrize("n", range(len(WORST_CASE_CSV_DIGESTS)))
+def test_worst_case_frontier_bytes(tmp_path, capsys, n):
+    path = tmp_path / "worst.json"
+    path.write_text(json.dumps(worst_case_doc(n)))
+    code, out, err = run(capsys, ["frontier", str(path)])
+    assert (code, err) == (0, "")
+    result = pc.pareto_frontier(pc.load_instance(path).system)
+    assert out == json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "x.csv"
+    assert run(capsys, ["frontier", str(path), "--out", str(target)])[:2] == (0, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == WORST_CASE_CSV_DIGESTS[n]
+
+
+# Runs the command given as its arguments, its stdout sent to /dev/null,
+# and prints the child's peak RSS in KiB. A fresh process, so no earlier
+# child's peak counts.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+# At n = 19 (524,288 systems, a 288 MB JSON text, a 44 MB CSV text) either
+# run peaks at ~102 MB: ~44 MB is the interpreter, numpy and the load, and
+# the rest the frontier's tables and one chunk of rows at a time. Holding
+# the text whole took 2,531 MB (JSON) and 679 MB (CSV).
+PEAK_RSS_MB = 150
+
+
+@pytest.mark.parametrize("out", [None, "x.csv"], ids=["json", "csv"])
+def test_worst_case_frontier_peak_rss_at_the_cap(tmp_path, out):
+    path = tmp_path / "worst.json"
+    path.write_text(json.dumps(worst_case_doc(19)))
+    argv = [sys.executable, "-m", "pareto_cat.cli", "frontier", str(path)]
+    if out:
+        argv += ["--out", str(tmp_path / out)]
+    peak = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
+                          text=True, check=True).stdout
+    assert int(peak) / 1024 < PEAK_RSS_MB
+    if out:
+        with open(tmp_path / out, "rb") as fh:
+            assert sum(1 for _ in fh) == 2**19  # the header and 2^19 - 1 members
 
 
 # ----------------------------------------------------- certify / interleave

@@ -5,6 +5,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pareto_cat as pc
@@ -340,7 +341,7 @@ def test_huge_system_size_fails_fast_on_scale_rows():
                          ids=["negative", "out-of-range", "no-transition"])
 def test_validate_instance_checks_hand_built_scale_rows(staircase, row, code):
     """A hand-built instance gets the same scale-row rule as a loaded one."""
-    tables = [t.copy() for t in staircase.scale.tables]
+    tables = [t.astype(np.int64) for t in staircase.scale.tables]  # a copy that holds -1
     tables[0][staircase.system.rank((0, 1)), : len(row)] = row
     inst = replace(staircase, scale=replace(staircase.scale, tables=tuple(tables)))
     assert [(p.code, p.path) for p in pc.validate_instance(inst)] == \

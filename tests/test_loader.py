@@ -140,7 +140,7 @@ def test_grid_table_matches_the_reference(case):
         assert (e.code, e.path) == want
     else:
         assert isinstance(want, np.ndarray), want
-        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.dtype == np.min_scalar_type(size - 1) and got.shape == want.shape
         assert np.array_equal(got, want)
 
 
@@ -197,7 +197,7 @@ def section_cases(draw, where: str):
     random whitespace in them and at most one mutation; returns
     ``(text, mutation)``."""
     rnd = draw(st.randoms(use_true_random=False))
-    top = draw(st.sampled_from([3, 3, 9, 10**18 - 1]))
+    top = draw(st.sampled_from([3, 3, 9, 999, 10**6, 10**18 - 1]))  # uint8 to uint64
     shapes = SCALE_SHAPE_MUTATIONS if where == "scale" else ENTRY_SHAPE_MUTATIONS
     extras = ("entries in a composed map",) if where == "entries" else ()
     mutation = draw(st.sampled_from((None,) * 4 + tuple(TOKEN_MUTATIONS) + shapes
@@ -280,6 +280,12 @@ def test_numpy_entries_reader_matches_json_or_declines(fuzz_file, case):
     check_numpy_reader(fuzz_file, "entries", *case)
 
 
+def reader_dtype(values: list) -> np.dtype:
+    """The dtype the numpy reader reads a section of ``values`` into: the
+    least unsigned one that holds any integer as long as the longest."""
+    return np.min_scalar_type(10 ** len(str(max(values))) - 1)
+
+
 def check_numpy_reader(fuzz_file, where: str, text: str, mutation) -> None:
     """Both readers give the same outcome for ``text``, and the numpy
     reader declines exactly after the mutations that should make it."""
@@ -297,12 +303,15 @@ def check_numpy_reader(fuzz_file, where: str, text: str, mutation) -> None:
         entries = read["valuations"][1]["map"]["entries"]
         by_numpy = {"scale", "entries"} - ({where} if mutation == "escaped key" else set())
         if "scale" in by_numpy:
+            want_tables = ref["scale"]["valuations_scaled"]
+            dtype = reader_dtype(np.array(want_tables).ravel().tolist())
             assert [(t.dtype, t.shape) for t in tables] == [
-                (np.dtype(np.int64), np.array(t).shape) for t in ref["scale"]["valuations_scaled"]]
+                (dtype, np.array(t).shape) for t in want_tables]
             read["scale"]["valuations_scaled"] = [t.tolist() for t in tables]
         if "entries" in by_numpy:
             want_entries = ref["valuations"][1]["map"]["entries"]
-            assert (entries.dtype, entries.shape) == (np.dtype(np.int64), (len(want_entries),))
+            assert (entries.dtype, entries.shape) == (reader_dtype(want_entries),
+                                                      (len(want_entries),))
             read["valuations"][1]["map"]["entries"] = entries.tolist()
         assert read == ref
 
@@ -335,7 +344,7 @@ def test_a_large_scale_section_loads_by_numpy_as_by_json(tmp_path):
     assert _numpy_sections(data) is not None
     inst = pc.load_instance(p)
     assert inst == pc.load_instance(doc)
-    assert [t.dtype for t in inst.scale.tables] == [np.dtype(np.int64)] * 2
+    assert [t.dtype for t in inst.scale.tables] == [np.dtype(np.uint8)] * 2
     assert pc.emit_instance(inst)["scale"] == doc["scale"]
     assert inst.scaled_image(1, (3,) * 7).values == (2, 1, 0, 0)
     doc["scale"]["valuations_scaled"][1][5][2] = 4

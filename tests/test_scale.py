@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
-from pareto_cat.scale import first_bad_row
+from pareto_cat.scale import _ScaleTables, first_bad_row
 
 import oracles
-from conftest import preorders, scale_objects
+from conftest import preorders, scale_objects, worst_case_doc
 
 CHAIN4 = pc.TargetCategory(
     4,
@@ -71,6 +73,43 @@ def test_first_bad_row_matches_a_row_by_row_scan(data):
             rows[r][s] = data.draw(st.integers(-1, base.size))
     table = np.array(rows, dtype=np.int64).reshape(len(rows), grid_len)
     assert first_bad_row(table, base.hom) == oracles.scale_first_bad_row(rows, base.hom)
+
+
+@pytest.mark.parametrize("size, dtype", [(17, np.uint8), (300, np.uint16)])
+def test_scale_rules_read_narrow_tables_as_int64_ones(size, dtype):
+    """A loaded scale table is held in the least dtype of its target's
+    object ids. Near the top of a 17-object chain, a uint8 pair index
+    a * 17 + b wraps, and so does a uint16 one near the top of a 300-object
+    chain: the scale-row rule, reversibility and nearness answer as they
+    do on the int64 table."""
+    doc = worst_case_doc(3)
+    target = {"objects": size, "iso_classes": [[a] for a in range(size)],
+              "hom": [[int(a >= b) for b in range(size)] for a in range(size)]}
+    doc["valuations"][0].update(target=target, goal=0, map={"kind": "composed",
+                                                            "h": [size - 2, size - 1]})
+    rnd, rows = random.Random(size), []
+    for r in range(2**3):  # walks down from the top two objects
+        rows.append([size - 1 - r % 2])
+        while len(rows[-1]) < 4:
+            rows[-1].append(rows[-1][-1] - rnd.randint(0, 2))
+    doc["scale"] = {"grid_len": 4, "valuations_scaled": [rows]}
+    narrow = pc.load_instance(doc)
+    table = narrow.scale.tables[0]
+    assert table.dtype == dtype and table.tolist() == rows
+    wide = replace(narrow, scale=replace(narrow.scale, tables=(table.astype(np.int64),)))
+    hom = narrow.objectives[0].target.hom
+    assert first_bad_row(table, hom) is None
+    bad = table.copy()
+    bad[5, 1:3] = size - 3, size - 1
+    assert first_bad_row(bad, hom) == first_bad_row(bad.astype(np.int64), hom) == (
+        "transition", 5, f"missing transition arrow {size - 3} -> {size - 1} at scale 1")
+    ranks = np.arange(2**3)
+    for eps in range(3):
+        got, want = _ScaleTables(narrow, eps), _ScaleTables(wide, eps)
+        for x in ranks:
+            assert got.near(x, ranks).tolist() == want.near(x, ranks).tolist()
+            assert [got.reversible(x, y) for y in ranks] == [want.reversible(x, y) for y in ranks]
+    assert {want.reversible(x, y) for x in ranks for y in ranks} == {True, False}
 
 
 def test_interleaving_frozen_cases():

@@ -278,7 +278,7 @@ def test_scale_tables_match_scale_objects(inst, eps, data):
                          ids=["negative", "out-of-range", "no-transition"])
 def test_swarm_rejects_invalid_scale_row(staircase, row):
     """A hand-built instance (no loader) fails on a row ScaleObject rejects."""
-    tables = [t.copy() for t in staircase.scale.tables]
+    tables = [t.astype(np.int64) for t in staircase.scale.tables]  # a copy that holds -1
     frontier_rank = staircase.system.rank((0, 1))
     tables[0][frontier_rank, : len(row)] = row
     inst = replace(staircase, scale=replace(staircase.scale, tables=tuple(tables)))
