@@ -285,12 +285,56 @@ _NUMPY_SCALE_MIN = 1 << 16
 _SECTION_KEY = re.compile(rb'"(valuations_scaled|entries)"\s*:\s*\[')
 
 
+def _compact_len(shape: tuple) -> int:
+    """The length of compact JSON that nests one-digit integers as ``shape``."""
+    size = 1
+    for s in reversed(shape):
+        size = s * (size + 1) + 1  # s items, s - 1 commas, 2 brackets
+    return size
+
+
+def _first_digits(tokens: np.ndarray, shape: tuple) -> Optional[np.ndarray]:
+    """The digit after each opening bracket or comma of ``tokens``, a
+    section's text, as a uint8 array of ``shape``; or None unless the other
+    bytes are the brackets and commas that nest ``shape``."""
+    if len(tokens) != _compact_len(shape):
+        return None
+    strides = [_compact_len(shape[d + 1:]) + 1 for d in range(len(shape))]
+    inner = lambda a: np.moveaxis(a, int(np.argmax(shape)), -1)  # a few long loops, not one a row
+    at = inner(np.lib.stride_tricks.as_strided(tokens[len(shape):], shape, strides))
+    first = np.empty(shape, np.uint8)
+    np.subtract(at, 48, out=inner(first), order="C")  # uint8 wraps below b"0"
+    if first.max() > 9:
+        return None
+    want = bytearray(b"0")  # built in place: a new buffer is a page fault per 4 KiB
+    for s in reversed(shape):
+        want += b","
+        want *= s
+        want[-1:] = b"]"
+        want[:0] = b"["
+    np.add(inner(first), 48, out=inner(np.lib.stride_tricks.as_strided(
+        np.frombuffer(want, np.uint8)[len(shape):], shape, strides)), order="C")
+    # copied: ``first`` itself left glibc faulting in ~5,700 pages again on each frontier-deep load
+    return first.copy() if want.startswith(tokens) else None  # the same length: equal
+
+
 def _int_array(text: np.ndarray, shape: tuple) -> Optional[np.ndarray]:
     """A section's bytes as an array of ``shape``, whose one ``-1`` is read
     from the count of integers, in the least unsigned dtype that holds any
     integer as long as its longest; or None unless the bytes are brackets,
     commas, JSON whitespace and integers of at most 18 digits with no
-    leading zero, nested exactly as ``shape``."""
+    leading zero, nested exactly as ``shape``.
+
+    Compact text of one-digit integers is read in one pass: its length
+    alone gives the ``-1``. Any other text first drops its whitespace and
+    all but the first digit of each integer, then reads the further digits.
+    """
+    fill = lambda x: tuple(x if s < 0 else s for s in shape)
+    empty = _compact_len(fill(0))  # the length is affine in the -1
+    size, rest = divmod(len(text) - empty, _compact_len(fill(1)) - empty)
+    if not rest and size > 0 and text[len(shape) + 1] in b",]" \
+            and (vals := _first_digits(text, fill(size))) is not None:  # no 2nd digit, no space
+        return vals
     digit = (text - 48) < 10  # uint8 wraps below b"0"
     lead = digit.copy()
     np.greater(digit[1:], digit[:-1], out=lead[1:])  # the first digit of each integer
@@ -298,30 +342,15 @@ def _int_array(text: np.ndarray, shape: tuple) -> Optional[np.ndarray]:
     drop = digit ^ lead
     if (text <= 32).any():
         drop |= (text == 32) | (text == 10) | (text == 13) | (text == 9)
-    tokens = text[~drop] if drop.any() else text.copy()
+    tokens = text[~drop]
     del drop
     count, known = np.count_nonzero(lead), -math.prod(shape)  # known: the other lengths
     if not count or count % known:
         return None
-    shape = tuple(count // known if s < 0 else s for s in shape)
-    sizes = [1]  # the tokens of one item at each depth, innermost first
-    for s in reversed(shape):
-        sizes.append(s * (sizes[-1] + 1) + 1)  # s items, s - 1 commas, 2 brackets
-    if len(tokens) != sizes[-1]:
+    vals = _first_digits(tokens, fill(count // known))  # uint8, widened below as needed
+    if vals is None:
         return None
-    at = np.lib.stride_tricks.as_strided(  # where each integer's first digit sits
-        tokens[len(shape):], shape, [size + 1 for size in sizes[-2::-1]])
-    first = at - 48
-    at[...] = 48
-    want = b"0"
-    for s in reversed(shape):
-        want = b"".join((b"[", (want + b",") * (s - 1), want, b"]"))
-    if tokens.tobytes() != want:
-        return None
-    # uint8, widened below as needed; copied here because keeping ``first`` left frontier-deep's
-    # peak RSS 7.4 MB higher (282.0 against 274.6 MB), by where glibc 2.36 placed arrays
-    vals = first.copy()
-    del tokens, at, first, want  # freed before the passes over longer integers
+    del tokens  # freed before the passes over longer integers
     # one pass per further digit, if some integer has more than one
     run = lead
     for j in range(1, 19 if np.count_nonzero(digit) > count else 1):

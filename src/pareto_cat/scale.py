@@ -34,11 +34,11 @@ def first_bad_row(table, hom) -> Optional[tuple]:
     if t.size and not 0 <= t.min() <= t.max() < len(hom):
         row = ((t < 0) | (t >= len(hom))).any(axis=1).argmax()
         return "range", int(row), f"scale values out of range for a {len(hom)}-object category"
-    # the pair index a * K + b, in a dtype that holds K^2 whatever t's dtype
-    pairs = t[:, :-1].astype(np.min_scalar_type(len(hom) ** 2 - 1)) * len(hom) + t[:, 1:]
-    arrows = hom.ravel()[pairs]
+    # the pair index a * K + b in a dtype that holds K^2, on contiguous columns: one long loop each
+    cols = np.ascontiguousarray(t.T, np.min_scalar_type(len(hom) ** 2 - 1))
+    arrows = np.take(hom.ravel(), cols[:-1] * len(hom) + cols[1:])  # (grid_len - 1, rows)
     if not arrows.all():
-        r, s = np.argwhere(~arrows)[0]
+        r, s = np.argwhere(~arrows.T)[0]
         return ("transition", int(r),
                 f"missing transition arrow {t[r, s]} -> {t[r, s + 1]} at scale {s}")
     return None

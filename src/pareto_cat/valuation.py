@@ -152,8 +152,11 @@ def _dense(key: np.ndarray, size: int) -> tuple:
     """``key``'s distinct values (all below ``size``), ascending, and ``key``
     renumbered by them, as ``np.unique`` returns them: by a presence table
     over 0..size-1 when that is no longer than ``key``, else by sorting."""
-    if size > len(key):
-        return np.unique(key, return_inverse=True)
+    return np.unique(key, return_inverse=True) if size > len(key) else _present(key, size)
+
+
+def _present(key: np.ndarray, size: int) -> tuple:
+    """:func:`_dense` by a presence table over 0..size-1, whatever its length."""
     present = np.zeros(size, dtype=bool)
     present[key] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[key]
@@ -487,8 +490,11 @@ def pareto_frontier(system: ValuationSystem) -> FrontierResult:
     represents its group, and groups are sorted by representative.
     """
     ranks = frontier_ranks(system)
-    _, leader, group = np.unique(system.iso_representatives[ranks],
-                                 return_index=True, return_inverse=True)
+    # the keys are ranks: a table over them, no longer than the rank tables, groups them unsorted
+    keys, group = _present(system.iso_representatives[ranks], system.functor_count)
+    leader = np.full(len(keys), len(ranks))
+    del keys
+    np.minimum.at(leader, group, np.arange(len(ranks)))  # each group's first member
     order = np.argsort(leader[group], kind="stable")
     return FrontierResult(
         rows=system.digits(ranks[order]),

@@ -6,6 +6,7 @@ import copy
 import gc
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
@@ -157,12 +158,16 @@ def section_text(doc: dict, rnd, field: str, key: str, section: str, extra: str 
     return text.replace(f'"{field}": "{PLACEHOLDER}"', f'"{key}": {section}{extra}')
 
 
-def render(value, rnd) -> str:
-    """Nested lists of value texts as JSON with random whitespace."""
+SPACES = ("", "", " ", "\n", "\t", "\r\n  ")
+
+
+def render(value, rnd, spaces=SPACES) -> str:
+    """Nested lists of value texts as JSON, with whitespace drawn from
+    ``spaces`` in every slot: ``("",)`` writes compact JSON."""
     if isinstance(value, str):
         return value
-    space = lambda: rnd.choice(("", "", " ", "\n", "\t", "\r\n  "))
-    return ("[" + space() + ("," + space()).join(render(v, rnd) + space() for v in value)
+    space = lambda: rnd.choice(spaces)
+    return ("[" + space() + ("," + space()).join(render(v, rnd, spaces) + space() for v in value)
             + "]")
 
 
@@ -170,7 +175,8 @@ def render(value, rnd) -> str:
 TOKEN_MUTATIONS = {"float": lambda v: v + ".0", "exponent": lambda v: v + "e0",
                    "true": lambda v: "true", "minus": lambda v: "-" + v,
                    "leading zero": lambda v: "0" + v, "19 digits": lambda v: "1" + "0" * 18,
-                   "string": lambda v: f'"{v}"', "nested list": lambda v: f"[{v}]"}
+                   "string": lambda v: f'"{v}"', "nested list": lambda v: f"[{v}]",
+                   "two digits": lambda v: "10", "space after": lambda v: v + " "}
 SCALE_SHAPE_MUTATIONS = ("row+", "row-", "column+", "column-", "objective+", "objective-",
                          "value moved to the next row")
 ENTRY_SHAPE_MUTATIONS = ("entry+", "entry-")
@@ -178,7 +184,8 @@ KEY_MUTATIONS = ("duplicate key", "key in a metadata string", "key in metadata",
                  "constant in metadata", "escaped key", "trailing junk")
 # the mutations after which the reader leaves the whole text to json
 DECLINES = {*TOKEN_MUTATIONS, *SCALE_SHAPE_MUTATIONS, "duplicate key", "key in metadata",
-            "constant in metadata", "trailing junk", "entries in a composed map"}
+            "constant in metadata", "trailing junk", "entries in a composed map"} - {
+    "two digits", "space after"}  # a compact one-digit section with these takes the digit passes
 
 
 def mutate_token(values: list, rnd, mutation: str) -> None:
@@ -192,19 +199,25 @@ def mutate_token(values: list, rnd, mutation: str) -> None:
 
 @st.composite
 def section_cases(draw, where: str):
-    """The staircase document with random scale tables (``where`` is
-    ``"scale"``) or random entries of its second objective (``"entries"``),
-    random whitespace in them and at most one mutation; returns
-    ``(text, mutation)``."""
+    """:func:`section_case` drawn: random values, whitespace or none, and
+    at most one mutation."""
     rnd = draw(st.randoms(use_true_random=False))
     top = draw(st.sampled_from([3, 3, 9, 999, 10**6, 10**18 - 1]))  # uint8 to uint64
     shapes = SCALE_SHAPE_MUTATIONS if where == "scale" else ENTRY_SHAPE_MUTATIONS
     extras = ("entries in a composed map",) if where == "entries" else ()
     mutation = draw(st.sampled_from((None,) * 4 + tuple(TOKEN_MUTATIONS) + shapes
                                     + KEY_MUTATIONS + extras))
+    spaces = draw(st.sampled_from((SPACES, ("",))))
+    return section_case(where, rnd, top, mutation, spaces, draw(st.integers(1, 4)))
+
+
+def section_case(where: str, rnd, top: int, mutation, spaces: tuple, grid_len: int) -> tuple:
+    """The staircase document with random scale tables of ``grid_len``
+    columns (``where`` is ``"scale"``) or random entries of its second
+    objective (``"entries"``), values in 0..top, rendered with ``spaces``,
+    and at most one mutation; returns ``(text, mutation)``."""
     doc = fixture_doc("staircase")
     if where == "scale":
-        grid_len = draw(st.integers(1, 4))
         values = [[[str(rnd.randint(0, top)) for _ in range(grid_len)] for _ in range(16)]
                   for _ in range(2)]
         table, row = rnd.choice(values), rnd.randrange(16)
@@ -239,7 +252,7 @@ def section_cases(draw, where: str):
         mutate_token(values, rnd, mutation)
     home.clear()
     home.update(fields[::rnd.choice((1, -1))])
-    section = render(values, rnd)
+    section = render(values, rnd, spaces)
     key, extra = field, ""
     if mutation == "duplicate key":
         extra = f', "{field}": ' + render(small, rnd)
@@ -268,14 +281,29 @@ def load_outcome(path):
             [(p.code, p.path) for p in problems])
 
 
+def compact_case(where: str, mutation: str) -> tuple:
+    """A compact section of one-digit integers with one change."""
+    return section_case(where, random.Random(mutation), 9, mutation, ("",), 3)
+
+
+# a compact one-digit section with a two-digit value, a space, a minus or
+# one integer list fewer is read by the digit passes, or declined, as before
 @given(section_cases("scale"))
 @settings(max_examples=300)
+@example(case=compact_case("scale", "two digits"))
+@example(case=compact_case("scale", "space after"))
+@example(case=compact_case("scale", "minus"))
+@example(case=compact_case("scale", "row-"))
 def test_numpy_scale_reader_matches_json_or_declines(fuzz_file, case):
     check_numpy_reader(fuzz_file, "scale", *case)
 
 
 @given(section_cases("entries"))
 @settings(max_examples=300)
+@example(case=compact_case("entries", "two digits"))
+@example(case=compact_case("entries", "space after"))
+@example(case=compact_case("entries", "minus"))
+@example(case=compact_case("entries", "entry-"))
 def test_numpy_entries_reader_matches_json_or_declines(fuzz_file, case):
     check_numpy_reader(fuzz_file, "entries", *case)
 
@@ -385,8 +413,9 @@ def test_a_large_table_loads_by_numpy_as_by_json(tmp_path):
 
 def test_the_numpy_reader_holds_less_than_json():
     """The reader's transient memory, its arrays included, stays below
-    what ``json`` holds for the same text: a large scale section, and one
-    with a large table's entries as well, as in the frontier benchmark."""
+    what ``json`` holds for the same text: a large scale section, one with
+    a large table's entries as well, as in the frontier benchmark, and
+    65,536 one-digit entries alone, which ``json`` holds as shared ints."""
     def peak(read) -> int:
         tracemalloc.start()
         try:
@@ -395,7 +424,10 @@ def test_the_numpy_reader_holds_less_than_json():
         finally:
             tracemalloc.stop()
 
-    for doc in (big_staircase(7), big_staircase(8, table=True)):
+    entries_only = big_staircase(8, table=True)
+    del entries_only["scale"]
+    entries_only["valuations"][1]["map"]["entries"] = [r % 10 for r in range(4**8)]
+    for doc in (big_staircase(7), big_staircase(8, table=True), entries_only):
         data = json.dumps(doc, separators=(",", ":")).encode()
         read = _numpy_sections(data)
         assert [isinstance(v["map"].get("entries"), np.ndarray) for v in read["valuations"]] \
