@@ -203,10 +203,14 @@ class _ScaleTables:
     def near(self, rank: int, members: np.ndarray) -> np.ndarray:
         """Per member rank: within interleaving distance ``eps`` of
         ``rank`` in every objective, i.e. ``e``-interleaved for some
-        ``e`` in ``0..min(eps, grid_len - 1)``."""
+        ``e`` in ``0..min(eps, grid_len - 1)``; read a shift at a time, on
+        the members not yet found near, so no array is (members x shifts)."""
         out = np.ones(len(members), dtype=bool)
         for t, hom, shifts in self.objectives:
-            y, z = t[rank], t[members]
-            mutual = hom[y, z[:, shifts]] & hom[z[:, None, :], y[shifts]]
-            out &= mutual.all(axis=2).any(axis=1)
+            y, todo, out = t[rank], np.flatnonzero(out), np.zeros(len(members), dtype=bool)
+            for row in shifts:
+                z = t[members[todo]]
+                hit = (hom[y, z[:, row]] & hom[z, y[row]]).all(axis=1)
+                out[todo[hit]] = True
+                todo = todo[~hit]
         return out

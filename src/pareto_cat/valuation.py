@@ -410,13 +410,14 @@ class FrontierResult:
     first row is its representative."""
 
     rows: np.ndarray
-    ends: tuple  # where each group's rows end
+    ends: np.ndarray  # intp: where each group's rows end
     admissible_count: int
     functor_count: int
 
     @property
     def spans(self) -> list:
-        return list(zip((0,) + self.ends, self.ends))
+        ends = self.ends.tolist()
+        return list(zip([0] + ends, ends))
 
     @cached_property
     def groups(self) -> tuple:
@@ -428,13 +429,13 @@ class FrontierResult:
         return frozenset(map(tuple, self.rows.tolist()))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FrontierResult) and self.ends == other.ends
+        return (isinstance(other, FrontierResult) and np.array_equal(self.ends, other.ends)
                 and np.array_equal(self.rows, other.rows)
                 and self.admissible_count == other.admissible_count
                 and self.functor_count == other.functor_count)
 
     def __hash__(self) -> int:
-        return hash((self.ends, self.admissible_count, self.functor_count))
+        return hash((len(self.ends), self.admissible_count, self.functor_count))
 
     @gc_paused()
     def to_dict(self) -> dict:
@@ -449,10 +450,9 @@ class FrontierResult:
 
     def members(self):
         """Each member as ``(group index, row tuple)``, ``_CHUNK_ROWS`` rows at a time."""
-        ends = np.asarray(self.ends, dtype=np.intp)
         for start in range(0, len(self.rows), _CHUNK_ROWS):
             rows = self.rows[start:start + _CHUNK_ROWS]
-            groups = np.searchsorted(ends, np.arange(start, start + len(rows)), side="right")
+            groups = np.searchsorted(self.ends, np.arange(start, start + len(rows)), side="right")
             yield from zip(groups.tolist(), map(tuple, rows.tolist()))
 
     def json_pieces(self):
@@ -498,21 +498,15 @@ def pareto_frontier(system: ValuationSystem) -> FrontierResult:
     order = np.argsort(leader[group], kind="stable")
     return FrontierResult(
         rows=system.digits(ranks[order]),
-        ends=tuple(np.cumsum(np.bincount(group)[np.argsort(leader)]).tolist()),
+        ends=np.cumsum(np.bincount(group)[np.argsort(leader)]),
         admissible_count=int(np.count_nonzero(system.admissible_mask)),
         functor_count=system.functor_count,
     )
 
 
-def frontier_via_chains(system: ValuationSystem) -> FrontierResult:
-    """The frontier as terminal elements of the improvement digraph.
-
-    On the class table, "terminal in the strict-improvement digraph" and
-    "empty strict improvement set" are one condition, so this is
-    :func:`pareto_frontier`; ``tests/oracles.py`` is the independent
-    route.
-    """
-    return pareto_frontier(system)
+# Terminal in the strict-improvement digraph is an empty strict improvement
+# set on the class table; ``tests/oracles.py`` is the independent route.
+frontier_via_chains = pareto_frontier
 
 
 class ImprovementChains:
@@ -528,9 +522,9 @@ class ImprovementChains:
     class v. Reversibility reads only ranks: ``by_rank[r] = (order, v)``
     holds the least order of a chain ending at a draw of rank r, and r's
     class id. A longest chain ending at a draw extends one ending at an
-    earlier draw, one shorter, that it strictly improves on: a question
-    about every longest chain is one pass over :meth:`buckets`, linear
-    in draws whatever the number of chains.
+    earlier draw, one shorter, that it strictly improves on; so per
+    ``(v, length)`` bucket the walk keeps ``at[length][v]``, its draws,
+    and ``counts[length][v]``, the longest chains ending at them.
     """
 
     def __init__(self, system: ValuationSystem):
@@ -542,6 +536,8 @@ class ImprovementChains:
         self.best: tuple = ()
         self.by_class: dict = {}
         self.by_rank: dict = {}
+        self.at: dict = {}      # length -> class id -> its draws that long, ascending
+        self.counts: dict = {}  # length -> class id -> longest chains ending at those draws
 
     def add(self, draw: Sequence[int]) -> None:
         """Append ``draw``, reading the records of the classes it improves on."""
@@ -556,6 +552,11 @@ class ImprovementChains:
         self.by_rank[rank] = min(self.by_rank.get(rank, (order, v)), (order, v))
         if order < (-len(self.best), self.best):
             self.best = least
+        n = len(least)
+        below = sum([m for u, m in self.counts.get(n - 1, {}).items() if row[u]])
+        counts = self.counts.setdefault(n, {})
+        counts[v] = counts.get(v, 0) + (below or 1)
+        self.at.setdefault(n, {}).setdefault(v, []).append(len(self.draws))
         self.least.append(least)
         self.draws.append(draw)
         self.ranks.append(rank)
@@ -566,19 +567,14 @@ class ImprovementChains:
         buckets, filled by earlier draws, that its longest chains extend:
         one shorter, of the classes it strictly improves on."""
         strict = self.system.image_class_vectors.strict
-        filled: dict = {}  # length -> class ids drawn with it
-        for v, least in zip(self.ids, self.least):
+        for j, (v, least) in enumerate(zip(self.ids, self.least)):
             n = len(least)
-            yield (v, n), [(u, n - 1) for u in filled.get(n - 1, ()) if strict[u, v]]
-            filled.setdefault(n, set()).add(v)
+            yield (v, n), [(u, n - 1) for u, js in self.at.get(n - 1, {}).items()
+                           if js[0] < j and strict[u, v]]
 
     def count_longest(self) -> int:
-        """How many longest chains there are, summed per bucket, listing none."""
-        count: dict = {}
-        for key, below in self.buckets():
-            count[key] = count.get(key, 0) + (sum(count[k] for k in below) or 1)
-        top = len(self.best)
-        return sum(m for (_, n), m in count.items() if n == top)
+        """How many longest chains there are, listing none."""
+        return sum(self.counts.get(len(self.best), {}).values())
 
     def all_longest(self) -> list:
         """Every longest chain, sorted.
@@ -595,10 +591,7 @@ class ImprovementChains:
             shown = count if count <= cap else f"more than {cap}"  # may run to thousands of digits
             raise CapacityError(f"listing {shown} longest chains of length {top} exceeds cap {cap}",
                                 required=count * top, cap=cap)
-        ids, strict = self.ids, self.system.image_class_vectors.strict
-        at: dict = {}  # length -> class id -> its draws that long, ascending
-        for j, (v, least) in enumerate(zip(ids, self.least)):
-            at.setdefault(len(least), {}).setdefault(v, []).append(j)
+        ids, at, strict = self.ids, self.at, self.system.image_class_vectors.strict
         chains = [(j,) for js in at.get(top, {}).values() for j in js]
         for n in reversed(range(1, top)):
             below = {v: [js for u, js in at[n].items() if strict[u, v]] for v in at[n + 1]}

@@ -16,6 +16,7 @@ import pytest
 import pareto_cat as pc
 
 import oracles
+from conftest import fixture_doc
 
 FIXTURES = ["chain3", "cycle2", "staircase"]
 
@@ -102,14 +103,14 @@ def test_criterion_05_frontier_dual_characterization(all_instances):
     for name, inst in sorted(all_instances.items()):
         system = inst.system
         scan = {m for g in pc.pareto_frontier(system).groups for m in g.members}
-        chains = {m for g in pc.frontier_via_chains(system).groups for m in g.members}
+        brute = oracles.brute_frontier(fixture_doc(name))
         by_mass = {
             tup
             for tup in itertools.product(range(inst.cat.size), repeat=inst.n)
             if pc.admissible(system, tup)
             and pc.minorization_mass(system, inst.distribution, tup, exact=True) == 0
         }
-        assert scan == chains == by_mass, f"{name}: routes disagree"
+        assert scan == brute == by_mass, f"{name}: routes disagree"
         counts[name] = len(scan)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10, f"runtime {elapsed:.1f}s exceeds 10s"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,29 @@ def test_scale_rules_read_narrow_tables_as_int64_ones(size, dtype):
             assert got.near(x, ranks).tolist() == want.near(x, ranks).tolist()
             assert [got.reversible(x, y) for y in ranks] == [want.reversible(x, y) for y in ranks]
     assert {want.reversible(x, y) for x in ranks for y in ranks} == {True, False}
+
+
+def test_nearness_holds_one_shift_at_a_time():
+    """n = 12 of the worst-case family with a 32-point scale section, where
+    rank r's row turns from object 0 to 1 at grid point r mod 32, so two
+    ranks are as far apart as their turning points. At eps = 31 every
+    rank is near rank 1, and nearness peaks under 1 MiB, 8 bytes a rank
+    and grid point, as at eps = 0 (0.5 MiB). Holding every shift at once
+    took (ranks x shifts x grid) arrays and peaked at 8.3 MiB."""
+    doc = worst_case_doc(12)
+    doc["scale"] = {"grid_len": 32, "valuations_scaled": [
+        [[0] * (r % 32) + [1] * (32 - r % 32) for r in range(2**12)]]}
+    inst, ranks = pc.load_instance(doc), np.arange(2**12)
+    for eps in (0, 1, 31):
+        tables = _ScaleTables(inst, eps)
+        tracemalloc.start()
+        try:
+            near = tables.near(1, ranks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert near.tolist() == (abs(ranks % 32 - 1) <= eps).tolist()
+        assert peak < 2**20, f"eps {eps}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_interleaving_frozen_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import time
@@ -146,6 +147,19 @@ def test_frontier_groups_chain3(chain3):
     assert f.groups[1].members == ((1, 0), (3, 0))
     assert f.admissible_count == 15
     assert f.functor_count == 16
+
+
+def test_frontier_results_compare_by_their_group_ends(staircase):
+    """Equal results hash equal; results that differ only in where their
+    groups end are not equal."""
+    f = pc.pareto_frontier(staircase.system)
+    g = pc.pareto_frontier(pc.load_instance(fixture_doc("staircase")).system)
+    assert f is not g and f == g and hash(f) == hash(g)
+    moved = f.ends.copy()
+    moved[0] -= 1
+    assert len(f.ends) > 1
+    for ends in (moved, f.ends[1:]):
+        assert dataclasses.replace(f, ends=ends) != f
 
 
 def test_chain_route_agrees_on_fixtures(all_instances):
@@ -435,6 +449,7 @@ def _check_walk(system, draws):
     chains = ImprovementChains(system)
     ends = _brute_chain_ends(system, draws)
     ids = system.image_class_vectors.ids
+    assert chains.all_longest() == [] and chains.count_longest() == 0 and chains.best == ()
     for j, d in enumerate(draws):
         chains.add(d)
         assert chains.least == ends[: j + 1]
@@ -455,10 +470,10 @@ def _check_walk(system, draws):
             least = min(ends[e] for e in drawn if len(ends[e]) == top)
             assert chains.by_rank[r] == ((-top, least), int(ids[r]))
         assert chains.by_rank.keys() == by_rank.keys()
-    listed = chains.all_longest()
-    assert listed == _brute_longest_chains(system, draws)
-    assert chains.count_longest() == len(listed)
-    assert chains.best == min(listed, default=())
+        listed = chains.all_longest()
+        assert listed == _brute_longest_chains(system, draws[: j + 1])
+        assert chains.count_longest() == len(listed)
+        assert chains.best == min(listed, default=())
 
 
 @settings(max_examples=60, deadline=None)
