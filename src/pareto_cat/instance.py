@@ -295,27 +295,27 @@ def _compact_len(shape: tuple) -> int:
 
 def _first_digits(tokens: np.ndarray, shape: tuple) -> Optional[np.ndarray]:
     """The digit after each opening bracket or comma of ``tokens``, a
-    section's text, as a uint8 array of ``shape``; or None unless the other
-    bytes are the brackets and commas that nest ``shape``."""
+    section's text, as a uint8 array of ``shape`` (no axis of length 0); or
+    None unless the other bytes are the brackets and commas that nest
+    ``shape``. Each byte is checked in place, through strided views: per
+    depth, of every array's ``[``, its ``]`` and the commas between its
+    children, then of the digits. The flags are written to the digits' buffer."""
     if len(tokens) != _compact_len(shape):
         return None
     strides = [_compact_len(shape[d + 1:]) + 1 for d in range(len(shape))]
-    inner = lambda a: np.moveaxis(a, int(np.argmax(shape)), -1)  # a few long loops, not one a row
-    at = inner(np.lib.stride_tricks.as_strided(tokens[len(shape):], shape, strides))
+    inner = lambda a: np.moveaxis(a, int(np.argmax(a.shape)), -1) if a.ndim else a  # long loops
+    view = lambda start, dims, steps: inner(np.lib.stride_tricks.as_strided(
+        tokens[start:], dims, steps))
     first = np.empty(shape, np.uint8)
-    np.subtract(at, 48, out=inner(first), order="C")  # uint8 wraps below b"0"
-    if first.max() > 9:
-        return None
-    want = bytearray(b"0")  # built in place: a new buffer is a page fault per 4 KiB
-    for s in reversed(shape):
-        want += b","
-        want *= s
-        want[-1:] = b"]"
-        want[:0] = b"["
-    np.add(inner(first), 48, out=inner(np.lib.stride_tricks.as_strided(
-        np.frombuffer(want, np.uint8)[len(shape):], shape, strides)), order="C")
-    # copied: ``first`` itself left glibc faulting in ~5,700 pages again on each frontier-deep load
-    return first.copy() if want.startswith(tokens) else None  # the same length: equal
+    flags = first.reshape(-1).view(bool)
+    for d, s in enumerate(shape):
+        for byte, at in ((b"[", view(d, shape[:d], strides[:d])),
+                         (b"]", view(d + _compact_len(shape[d:]) - 1, shape[:d], strides[:d])),
+                         (b",", view(d + strides[d], shape[:d] + (s - 1,), strides[:d + 1]))):
+            if not np.equal(at, byte[0], out=flags[:at.size].reshape(at.shape), order="C").all():
+                return None
+    np.subtract(view(len(shape), shape, strides), 48, out=inner(first), order="C")
+    return first if first.max() <= 9 else None  # uint8 wraps below b"0"
 
 
 def _int_array(text: np.ndarray, shape: tuple) -> Optional[np.ndarray]:

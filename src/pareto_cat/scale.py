@@ -27,7 +27,8 @@ def first_bad_row(table, hom) -> Optional[tuple]:
     at least one grid point, every value an object of ``hom``'s category,
     and an arrow from each value to the next. Returns ``(kind, row,
     message)`` for the first row out of range, else the first row without
-    a transition arrow, else None."""
+    a transition arrow, else None. A pair number ``a * K + b`` that fits a
+    byte (K <= 16) maps to its arrow by ``bytes.translate``: no intp index."""
     t, hom = np.asarray(table), np.asarray(hom, dtype=bool)
     if t.ndim != 2 or t.shape[1] < 1:
         return "shape", 0, "a scale object needs at least one grid point"
@@ -36,7 +37,13 @@ def first_bad_row(table, hom) -> Optional[tuple]:
         return "range", int(row), f"scale values out of range for a {len(hom)}-object category"
     # the pair index a * K + b in a dtype that holds K^2, on contiguous columns: one long loop each
     cols = np.ascontiguousarray(t.T, np.min_scalar_type(len(hom) ** 2 - 1))
-    arrows = np.take(hom.ravel(), cols[:-1] * len(hom) + cols[1:])  # (grid_len - 1, rows)
+    pairs = cols[:-1] * len(hom)  # (grid_len - 1, rows)
+    pairs += cols[1:]
+    if pairs.dtype == np.uint8:  # through hom's bytes, padded to a 256-byte table
+        arrows = np.frombuffer(pairs.tobytes().translate(hom.tobytes().ljust(256, b"\0")),
+                               bool).reshape(pairs.shape)
+    else:
+        arrows = np.take(hom.ravel(), pairs)
     if not arrows.all():
         r, s = np.argwhere(~arrows.T)[0]
         return ("transition", int(r),

@@ -77,8 +77,9 @@ class Objective:
     def from_entries(cls, target: TargetCategory, goal: int, entries: np.ndarray) -> "Objective":
         """A table objective from an integer array of its entries, copied
         as the int64 ``array``."""
-        obj = cls(target=target, goal=goal, kind="table", entries=tuple(entries.tolist()))
-        obj.__dict__["array"] = entries.astype(np.int64)  # so never converted from the tuple
+        array = entries.astype(np.int64)
+        obj = cls(target=target, goal=goal, kind="table", entries=tuple(memoryview(array)))
+        obj.__dict__["array"] = array  # so never converted from the tuple
         return obj
 
 
@@ -212,7 +213,7 @@ class ValuationSystem:
     @cached_property
     def image_tables(self) -> tuple:
         """Per objective, the image object of every rank."""
-        tensor = np.asarray(self.cat.tensor)
+        tensor = np.asarray(self.cat.tensor, np.min_scalar_type(self.cat.size - 1))
         evaluation = self._fold(self.cat.unit, lambda acc, v: tensor[acc, v])
         return tuple(
             obj.array if obj.kind == "table" else obj.array[evaluation]
@@ -230,7 +231,7 @@ class ValuationSystem:
 
     @cached_property
     def admissible_flags(self) -> tuple:
-        return tuple(self.admissible_mask.tolist())
+        return tuple(memoryview(self.admissible_mask))
 
     @cached_property
     def class_tables(self) -> tuple:
@@ -263,13 +264,16 @@ class ValuationSystem:
             present = renumbered[a][present] if a in renumbered else present
         return ClassVectors(ids, arrows, arrows & ~np.eye(len(arrows), dtype=bool))
 
+    @property
+    def _least(self) -> np.ndarray:  # per resource object, the least of its iso class
+        return np.array([self.cat.iso_classes[c][0] for c in self.cat.iso_class_of])
+
     @cached_property
     def iso_representatives(self) -> np.ndarray:
         """Per rank, the rank of the least system isomorphic to it: every
         object replaced by the least member of its iso class, in the least
         unsigned dtype that holds a rank."""
-        k = self.cat.size
-        least = np.array([self.cat.iso_classes[c][0] for c in self.cat.iso_class_of])
+        k, least = self.cat.size, self._least
         return self._fold(0, lambda acc, v: acc * k + least[v]).astype(
             np.min_scalar_type(self.functor_count - 1))
 
@@ -282,8 +286,10 @@ class ValuationSystem:
         """Structural and iso-respect checks for the objectives.
 
         Returns LoadError records (not raised) so a loader can batch them.
-        The iso-respect check needs every rank's image, so it runs only
-        when the other checks pass and K^n is within the cap.
+        The iso-respect check reads every rank's image class, so it runs only
+        when the other checks pass and K^n is within the cap. It reads slices
+        of the class tables as K^n cubes, and builds :attr:`iso_representatives`
+        only to report a split.
         """
         problems = []
         k, n = self.cat.size, self.n
@@ -314,13 +320,16 @@ class ValuationSystem:
                                           f"goal {obj.goal} out of range"))
         if problems or count_within(k, n, self.cap) > self.cap:
             return problems
-        # The map must send isomorphic systems to isomorphic images; the
-        # first rank of an iso group is its representative.
-        reps = self.iso_representatives
-        for i, classes in enumerate(self.class_tables):
-            split = np.flatnonzero(classes != classes[reps])
-            if split.size:
-                r = split[0]
+        # Isomorphic systems need isomorphic images: no image class may move as one slot's
+        # object becomes the least of its iso class, as such steps reach the least system.
+        least = self._least
+        moved = np.flatnonzero(least != np.arange(k))  # none when every class is a singleton
+        for i, classes in enumerate(self.class_tables if moved.size else ()):
+            cube = classes.reshape((k,) * n)
+            if not all(np.array_equal(cube.take(moved, axis=j), cube.take(least[moved], axis=j))
+                       for j in range(n)):
+                reps = self.iso_representatives  # the first rank of an iso group
+                r = np.flatnonzero(classes != classes[reps])[0]
                 problems.append(LoadError(
                     "valuation.iso_respect", f"valuations[{i}]",
                     f"systems at ranks {reps[r]} and {r} are isomorphic but their "

@@ -165,6 +165,28 @@ def per_objective_class_vectors(image_tables, targets):
     return ids, arrows, arrows & ~np.eye(count, dtype=bool)
 
 
+def iso_respect_problems(doc):
+    """``(code, path, message)`` per objective whose images split an iso
+    class of systems, at the first rank whose image class differs from its
+    representative's: the system with every object replaced by the least
+    of its iso class. Gathers each rank's class through the rank of its
+    representative, system by system."""
+    cat, n = doc["category"], doc["system_size"]
+    k, classes_of = cat["objects"], cat["iso_classes"]
+    least = [min(classes_of[class_of(classes_of, x)]) for x in range(k)]
+    systems = list(product(range(k), repeat=n))
+    reps = [reduce(lambda rank, x: rank * k + least[x], t, 0) for t in systems]
+    out = []
+    for a, v in enumerate(doc["valuations"]):
+        classes = [class_of(v["target"]["iso_classes"], image_of(doc, a, t)) for t in systems]
+        split = [r for r, rep in enumerate(reps) if classes[r] != classes[rep]]
+        if split:
+            out.append(("valuation.iso_respect", f"valuations[{a}]",
+                        f"systems at ranks {reps[split[0]]} and {split[0]} are isomorphic but "
+                        "their images land in different iso classes"))
+    return out
+
+
 def scale_first_bad_row(table, hom):
     """``(kind, row, message)`` of the first row of a scale table out of
     range for ``hom``'s objects, else of the first row missing a

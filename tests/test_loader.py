@@ -4,6 +4,7 @@ and a fuzz of whole documents and single-field mutations."""
 
 import copy
 import gc
+import importlib.util
 import json
 import math
 import random
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 import pareto_cat as pc
 from pareto_cat.cli import main
 from pareto_cat import instance
-from pareto_cat.instance import _grid_table, _numpy_sections
+from pareto_cat.instance import _first_digits, _grid_table, _numpy_sections
+from pareto_cat.scale import first_bad_row
 
 from conftest import FIXTURES, fixture_doc
 
@@ -434,6 +436,75 @@ def test_the_numpy_reader_holds_less_than_json():
             == [False, "entries" in doc["valuations"][1]["map"]]
         del read
         assert peak(lambda: _numpy_sections(data)) < 0.8 * peak(lambda: json.loads(data.decode()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_one_digit_reader_matches_json_or_declines(data):
+    """Compact text of one-digit integers nested as a random 1- to
+    3-dimensional shape is read as ``json`` reads it. After one byte is
+    changed to one of ``[],0123456789 x``, it is read as ``json`` reads it
+    when that still gives an integer array of the shape, else declined."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    digits = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+    text = bytearray(json.dumps(np.reshape(digits, shape).tolist(), separators=(",", ":")).encode())
+
+    def read(text):
+        got = _first_digits(np.frombuffer(bytes(text), np.uint8), shape)
+        return None if got is None else (got.dtype, got.tolist())
+
+    def parse(text):
+        try:
+            want = np.array(json.loads(text))
+        except ValueError:  # not JSON, or ragged
+            return None
+        return (np.dtype(np.uint8), want.tolist()) if want.shape == shape \
+            and want.dtype.kind == "i" else None
+
+    assert read(text) == parse(text) == (np.dtype(np.uint8), np.reshape(digits, shape).tolist())
+    text[data.draw(st.integers(0, len(text) - 1))] = data.draw(st.sampled_from(b"[],0123456789 x"))
+    assert read(text) == parse(text)
+
+
+@pytest.fixture(scope="module")
+def deep_instance(tmp_path_factory):
+    """The frontier benchmark's deep instance at seed 1, as ``bench/gen.py`` writes it."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.write_family("deep", 1, tmp_path_factory.mktemp("deep"))
+
+
+def test_the_deep_load_allocates_nothing_as_large_as_its_scale_section(deep_instance):
+    """Reading the sections of the deep instance, building it, checking
+    its maps and checking each scale table leave no transient as large as
+    its scale section's text (5.2 MB): neither a section-sized skeleton of
+    the text nor an intp index per transition (6 MiB a table). Transient
+    is the step's traced peak above what it holds after."""
+    data = deep_instance.read_bytes()
+    start = data.index(b"[", data.index(b'"valuations_scaled"'))
+    section = data.index(b"]]]", start) + 3 - start
+
+    def transient(step):
+        tracemalloc.reset_peak()
+        out = step()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak - held
+
+    tracemalloc.start()
+    try:
+        doc, read = transient(lambda: _numpy_sections(data))
+        inst, built = transient(lambda: pc.build_instance(doc))
+        del doc
+        problems, maps = transient(inst.system.validate_maps)
+        rows = [transient(lambda: first_bad_row(t, o.target.hom))
+                for t, o in zip(inst.scale.tables, inst.objectives)]
+    finally:
+        tracemalloc.stop()
+    assert section > 5_000_000 and problems == [] and [bad for bad, _ in rows] == [None, None]
+    assert max(read, built, maps, *(size for _, size in rows)) < section
 
 
 def test_a_non_ascii_document_loads_whatever_the_locale(tmp_path):

@@ -14,11 +14,13 @@ from pareto_cat.scale import _ScaleTables, first_bad_row
 import oracles
 from conftest import preorders, scale_objects, worst_case_doc
 
-CHAIN4 = pc.TargetCategory(
-    4,
-    [[a >= b for b in range(4)] for a in range(4)],
-    [[0], [1], [2], [3]],
-)
+
+def _chain(size: int) -> pc.TargetCategory:
+    return pc.TargetCategory(size, [[a >= b for b in range(size)] for a in range(size)],
+                             [[a] for a in range(size)])
+
+
+CHAIN4 = _chain(4)
 
 
 def test_scale_object_validation():
@@ -65,8 +67,11 @@ def test_first_bad_row_matches_a_row_by_row_scan(data):
     """The first bad row, its kind and its message, on tables of walks
     with some values moved, out of range among them, and missing arrows
     at the first and the last grid step of some rows; held as int64, or
-    in the least unsigned dtype when no value is negative."""
-    base = data.draw(st.one_of(preorders(), st.just(CHAIN4)))  # closed random homs are often full
+    in the least unsigned dtype when no value is negative. Chains of 15
+    to 18 objects put the pair index a * K + b in a byte up to 16 objects
+    and in a uint16 past them."""
+    base = data.draw(st.one_of(preorders(), st.just(CHAIN4),  # closed random homs are often full
+                               st.integers(15, 18).map(_chain)))
     grid_len = data.draw(st.integers(1, 5))
     rows = [list(data.draw(scale_objects(base, grid_len)).values)
             for _ in range(data.draw(st.integers(0, 6)))]

@@ -164,16 +164,23 @@ def test_frontier_results_compare_by_their_group_ends(staircase):
 
 def test_chain_route_agrees_on_fixtures(all_instances):
     for name, inst in all_instances.items():
-        assert pc.frontier_via_chains(inst.system) == pc.pareto_frontier(inst.system), name
+        assert pc.frontier_via_chains(inst.system).member_set == \
+            oracles.brute_frontier(fixture_doc(name)), name
+
+
+def system_doc(system: pc.ValuationSystem) -> dict:
+    """The document of ``system`` with uniform weights, as emitted."""
+    k = system.cat.size
+    return pc.emit_instance(pc.Instance(cat=system.cat, n=system.n, objectives=system.objectives,
+                                        distribution=pc.ObjectDistribution([f"1/{k}"] * k)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(valuation_systems())
 def test_frontier_three_routes_random(system):
-    """Scan route == chain route == zero-mass route on random systems."""
-    f = pc.pareto_frontier(system)
-    g = pc.frontier_via_chains(system)
-    assert f == g
+    """Chain route == brute-force oracle == zero-mass route on random systems."""
+    f = pc.frontier_via_chains(system)
+    assert f.member_set == oracles.brute_frontier(system_doc(system))
     k = system.cat.size
     dist = pc.ObjectDistribution([Fraction(1, k)] * k)
     zero_mass = frozenset(
@@ -207,10 +214,7 @@ def test_minorizes_is_preorder_on_admissibles(system, data):
 def test_strict_table_matches_oracle(system):
     """Frontier and strict improvement sets, read off the class table,
     equal the brute-force oracle on the emitted document."""
-    k = system.cat.size
-    doc = pc.emit_instance(pc.Instance(cat=system.cat, n=system.n,
-                                       objectives=system.objectives,
-                                       distribution=pc.ObjectDistribution([f"1/{k}"] * k)))
+    doc = system_doc(system)
     assert pc.pareto_frontier(system).member_set == oracles.brute_frontier(doc)
     for phi in pc.enumerate_summing_functors(system.cat, system.n):
         if pc.admissible(system, phi):
@@ -253,11 +257,7 @@ TWO_STEP = pc.ValuationSystem(
 def test_class_vector_numbering_matches_oracle(system):
     """Ids, first ranks, arrows, strict arrows and the frontier equal a
     numbering by np.unique over the stacked class rows."""
-    k = system.cat.size
-    doc = pc.emit_instance(pc.Instance(cat=system.cat, n=system.n,
-                                       objectives=system.objectives,
-                                       distribution=pc.ObjectDistribution([f"1/{k}"] * k)))
-    ids, first, arrows, strict, frontier = oracles.class_vector_numbering(doc)
+    ids, first, arrows, strict, frontier = oracles.class_vector_numbering(system_doc(system))
     c = system.image_class_vectors
     assert np.array_equal(c.ids, ids)
     assert [np.flatnonzero(c.ids == v)[0] for v in range(len(c.arrows))] == first.tolist()
@@ -595,6 +595,66 @@ def test_validate_maps_catches_iso_disrespect():
         "systems at ranks 1 and 3 are isomorphic but their images land in "
         "different iso classes",
     )]
+
+
+def level_system(levels, n: int, entries) -> pc.ValuationSystem:
+    """The level category of ``levels`` (0 to the top, equal levels
+    isomorphic, the tensor adding levels with a cap) at system size ``n``,
+    with one table objective of ``entries`` into the two-object chain."""
+    k, top = len(levels), max(levels)
+    rep = [levels.index(lv) for lv in range(top + 1)]
+    cat = pc.ResourceCategory(
+        k, [[levels[a] >= levels[b] for b in range(k)] for a in range(k)],
+        [[x for x in range(k) if levels[x] == lv] for lv in range(top + 1)], rep[0],
+        [[rep[min(levels[a] + levels[b], top)] for b in range(k)] for a in range(k)])
+    obj = pc.Objective(target=_chain_target(2), goal=0, kind="table", entries=tuple(entries))
+    return pc.ValuationSystem(cat=cat, n=n, objectives=(obj,))
+
+
+@st.composite
+def iso_systems(draw):
+    """Up to 4^3 ranks over a level category whose tensor lands on any
+    member of the right iso class, with one or two maps into targets of up
+    to four objects: composed, with a free ``h``; or a table that is
+    constant on iso classes in the slots before a drawn one and free from
+    it on (from the last slot on, it can split only there)."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    cat, _ = level_category(draw, k)
+    members = [cat.iso_classes[c] for c in cat.iso_class_of]
+    tensor = [[draw(st.sampled_from(members[x])) for x in row] for row in cat.tensor]
+    cat = pc.ResourceCategory(k, cat.hom, cat.iso_classes, cat.unit, tensor)
+    objectives = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, 4))
+        target, _ = level_category(draw, size)
+        if draw(st.booleans()):
+            h = tuple(draw(st.integers(0, size - 1)) for _ in range(k))
+            objectives.append(pc.Objective(target=target, goal=0, kind="composed", h=h))
+            continue
+        free, images, entries = draw(st.integers(0, n)), {}, []
+        for t in itertools.product(range(k), repeat=n):
+            key = tuple(members[x][0] for x in t[:free]) + t[free:]
+            if key not in images:
+                images[key] = draw(st.integers(0, size - 1))
+            entries.append(images[key])
+        objectives.append(pc.Objective(target=target, goal=0, kind="table", entries=tuple(entries)))
+    return pc.ValuationSystem(cat=cat, n=n, objectives=tuple(objectives))
+
+
+@settings(max_examples=150, deadline=None)
+@given(iso_systems())
+@example(level_system((0, 0, 1), 0, (1,)))  # n = 0: one system, isomorphic only to itself
+@example(level_system((0,), 2, (1,)))  # K = 1
+@example(level_system((0, 1, 2), 2, [r % 2 for r in range(9)]))  # every class a singleton
+@example(level_system((0, 0, 1), 3, [int(r % 3 == 1) for r in range(27)]))  # the last slot splits
+def test_iso_respect_check_matches_the_gather_oracle(system):
+    """The iso-respect problems of ``validate_maps`` equal the oracle's
+    gather through each rank's representative; the representatives are
+    built only to report a split."""
+    problems = system.validate_maps()
+    assert [(p.code, p.path, p.detail) for p in problems] == \
+        oracles.iso_respect_problems(system_doc(system))
+    assert ("iso_representatives" in vars(system)) == bool(problems)
 
 
 def test_capacity_guard():
