@@ -46,18 +46,19 @@ def _numerators(ls: list) -> tuple:
     fractions ``ls``: q, the a_k, and the integers ``N_0..N_n`` with
     ``c_n^n = N_n / q^n``, where ``N_n = sum_k a_k (q - a_k)^(n-1-k) N_k``.
 
-    That sum is kept as one running integer per distinct a: each step
-    multiplies every running sum by its ``q - a`` and adds the newest
+    That sum is kept as one running integer per distinct nonzero a: each
+    step multiplies every running sum by its ``q - a`` and adds the newest
     term to its own, so a step costs O(distinct a) big-int operations.
     """
     q = math.lcm(*(l.denominator for l in ls))
     a = [l.numerator * (q // l.denominator) for l in ls]
-    sums = dict.fromkeys(a, 0)  # per a: sum of a (q - a)^(n-1-k) N_k over k < n with a_k = a
+    sums = dict.fromkeys(filter(None, a), 0)  # per a: sum of a (q - a)^(n-1-k) N_k, k < n, a_k = a
     nums = [1]
     for ak in a:
         for b in sums:
             sums[b] *= q - b
-        sums[ak] += ak * nums[-1]
+        if ak:
+            sums[ak] += ak * nums[-1]
         nums.append(sum(sums.values()))
     return q, a, nums
 
@@ -106,7 +107,11 @@ def evolve_coefficients(lambdas: Sequence) -> tuple:
     a_k)^(n-k) / q^n``, with no fraction power or product. Otherwise in
     Python arithmetic, O(n^2).
     """
-    ls = _check_probs(lambdas)
+    return _evolve(_check_probs(lambdas))
+
+
+def _evolve(ls: list) -> tuple:
+    """:func:`evolve_coefficients` of an already validated list."""
     n = len(ls)
     if not _exact(ls):
         diag = _diagonal(ls)
@@ -300,50 +305,55 @@ class ParticleTrace:
 READ_AHEAD_DIGITS = 256  # object ids per read-ahead block
 
 
-def _draw_block(system: ValuationSystem, w: np.ndarray, gen: np.random.Generator,
-                rows: int) -> list:
-    """``rows`` draws from ``gen`` as ``(system, admissible)`` pairs, the
-    last draw first. One ``choice`` of shape ``(rows, n)`` takes the same
-    values from ``gen``, and leaves it in the same state, as ``rows``
-    calls of shape ``n``."""
-    k, n = system.cat.size, system.n
-    block = gen.choice(k, size=(rows, n), p=w)
-    ok = system.admissible_mask[block @ k ** np.arange(n - 1, -1, -1)]
-    return list(zip(map(tuple, block.tolist()), ok.tolist()))[::-1]
-
-
 def sample_admissible(system: ValuationSystem, dist: ObjectDistribution,
                       gen: np.random.Generator, budget: int = 10**5,
-                      _counter: Optional[list] = None,
-                      _buffer: Optional[list] = None) -> tuple:
+                      _counter: Optional[list] = None) -> tuple:
     """One draw from the product measure conditioned on admissibility,
-    by rejection. Raises :class:`SamplingError` with the measured
-    acceptance rate when the attempt budget runs out: accepted over
-    attempted draws as tallied in ``_counter`` (the failed call's
-    attempts included), else 0.0 for this call alone.
-
-    Without ``_buffer`` the call takes from ``gen`` exactly the draws it
-    tries. A caller that owns ``gen`` may pass one list per generator as
-    ``_buffer``: the call then takes draws from ``gen`` in blocks and
-    keeps the ones it has not tried there for the next call. The draws
-    returned, and the attempts tallied, are the same either way."""
-    rows = 1 if _buffer is None else max(1, READ_AHEAD_DIGITS // max(system.n, 1))
-    pending = [] if _buffer is None else _buffer
+    by rejection, taking from ``gen`` exactly the draws it tries. Raises
+    :class:`SamplingError` with the measured acceptance rate when the
+    attempt budget runs out: accepted over attempted draws as tallied in
+    ``_counter`` (the failed call's attempts included), else 0.0 for
+    this call alone. The one-draw reference for :func:`_admissible_draws`."""
+    k, n = system.cat.size, system.n
+    counter = [0, 0] if _counter is None else _counter
     for _ in range(budget):
-        if not pending:
-            pending.extend(_draw_block(system, dist.as_floats, gen, rows))
-        tup, ok = pending.pop()
-        if _counter is not None:
-            _counter[0] += 1
-        if ok:
-            if _counter is not None:
-                _counter[1] += 1
-            return tup
-    attempts, accepted = _counter if _counter is not None else (budget, 0)
-    raise SamplingError(
-        f"no admissible draw within {budget} attempts",
-        acceptance_rate=accepted / attempts if attempts else 0.0,
-    )
+        draw = gen.choice(k, size=n, p=dist.as_floats)
+        counter[0] += 1
+        if system.admissible_mask[draw @ k ** np.arange(n - 1, -1, -1)]:
+            counter[1] += 1
+            return tuple(draw.tolist())
+    raise SamplingError(f"no admissible draw within {budget} attempts",
+                        acceptance_rate=counter[1] / counter[0] if counter[0] else 0.0)
+
+
+def _admissible_draws(system: ValuationSystem, dist: ObjectDistribution,
+                      gen: np.random.Generator, count: int, budget: int,
+                      counter: list) -> tuple:
+    """The draws of ``count`` :func:`sample_admissible` calls with
+    ``counter``, as lists of their tuples, ranks and class ids, with the
+    same tallies and the same first failure. One ``choice`` per block of
+    ``READ_AHEAD_DIGITS // n`` rows takes ``gen``'s values in order."""
+    k, n = system.cat.size, system.n
+    rows, place = max(1, READ_AHEAD_DIGITS // max(n, 1)), k ** np.arange(n - 1, -1, -1)
+    kept = [np.empty((0, n), np.int64)]
+    start = drawn = taken = 0  # where the current call started trying; draws tried; draws kept
+    while taken < count and drawn - start < budget:
+        block = gen.choice(k, size=(rows, n), p=dist.as_floats)
+        hits = np.flatnonzero(system.admissible_mask[block @ place])[:count - taken]
+        tries = np.diff(hits, prepend=start - drawn - 1)  # per call, the draws it tried
+        hits = hits[np.logical_and.accumulate(tries <= budget)]  # up to a call that ran dry
+        kept.append(block[hits])
+        start = drawn + int(hits[-1]) + 1 if len(hits) else start
+        taken, drawn = taken + len(hits), drawn + rows
+    counter[0] += start + (budget if taken < count else 0)
+    counter[1] += taken
+    if taken < count:
+        raise SamplingError(f"no admissible draw within {budget} attempts",
+                            acceptance_rate=counter[1] / counter[0] if counter[0] else 0.0)
+    kept = np.concatenate(kept)
+    ranks = kept @ place
+    return (list(map(tuple, kept.tolist())), ranks.tolist(),
+            system.image_class_vectors.ids[ranks].tolist())
 
 
 def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
@@ -351,17 +361,17 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
     """Draw positions 0..n, score each with its strict-improvement mass,
     and evolve the best-index distribution.
 
-    Deterministic and replayable for a fixed seed. The draws feed one
-    :class:`ImprovementChains` walk and every answer is read off it; a
-    jump probability depends only on the draw's class vector, so it is
-    computed once per distinct vector. The trace records whether the
-    coarse lower bound ``c_n^n >= (1-l_0)^n`` held and whether jump
-    probabilities were non-increasing (within ``ESTIMATE_TOL``) along
-    every longest improvement chain, in one pass over the walk's
-    (class id, length) buckets: that cost does not grow with the number
-    of chains. Neither is asserted here, since both can legitimately
-    fail (the former whenever ``l_0 < 1/2``, the latter on instances
-    with improvement cycles).
+    Deterministic and replayable for a fixed seed. The draws are taken
+    at once and feed one :class:`ImprovementChains` walk, and every
+    answer is read off it; a jump probability depends only on the draw's
+    class vector, so it is computed, and checked, once per distinct
+    vector. The trace records whether the coarse lower bound ``c_n^n >=
+    (1-l_0)^n`` held and whether jump probabilities were non-increasing
+    (within ``ESTIMATE_TOL``) along every longest improvement chain, in
+    one pass over the walk's (length, class id) buckets: that cost does
+    not grow with the number of chains. Neither is asserted here, since
+    both can legitimately fail (the former whenever ``l_0 < 1/2``, the
+    latter on instances with improvement cycles).
     """
     if n < 0:
         raise PreconditionError("number of steps must be >= 0")
@@ -369,22 +379,22 @@ def run_particle(system: ValuationSystem, dist: ObjectDistribution, n: int,
         raise PreconditionError(f"seed must be non-negative, got {seed}")
     gen = np.random.default_rng(np.random.SeedSequence(seed))
     counter = [0, 0]
-    buffer: list = []
     chains = ImprovementChains(system)
-    for _ in range(n + 1):
-        chains.add(sample_admissible(system, dist, gen, budget, counter, buffer))
+    for draw, rank, v in zip(*_admissible_draws(system, dist, gen, n + 1, budget, counter)):
+        chains._append(draw, rank, v)
     by_class = {v: minorization_mass(system, dist, d, exact=exact)
                 for v, d in dict(zip(chains.ids, chains.draws)).items()}
+    _check_probs(by_class.values())
     jump_probs = tuple(by_class[v] for v in chains.ids)
-    coeffs = evolve_coefficients(jump_probs[:-1])
+    coeffs = _evolve(list(jump_probs[:-1]))
     l0 = float(jump_probs[0])
     rough_ok = float(coeffs[-1]) >= (1 - l0) ** n - ESTIMATE_TOL
-    as_float = {v: float(l) for v, l in by_class.items()}
-    ok: dict = {}  # per bucket: every longest chain ending at a draw of it is non-increasing
-    for (v, m), below in chains.buckets():
-        ok[v, m] = ok.get((v, m), True) and all(
-            ok[k] and as_float[v] <= as_float[k[0]] + ESTIMATE_TOL for k in below)
-    mono = all(o for (_, m), o in ok.items() if m == len(chains.best))
+    as_float, on = {v: float(l) for v, l in by_class.items()}, system.improved_on
+    ok: dict = {}  # per (length, class id): every longest chain ending at its draws non-increasing
+    for v, m in zip(chains.ids, map(len, chains.least)):
+        ok[m, v] = ok.get((m, v), True) and all(ok[k] and as_float[v] <= as_float[u] + ESTIMATE_TOL
+                                                for u in on[v] if (k := (m - 1, u)) in ok)
+    mono = all(o for (m, _), o in ok.items() if m == len(chains.best))
     return ParticleTrace(
         draws=tuple(chains.draws),
         jump_probs=jump_probs,

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SamplingError
 from .instance import Instance
-from .particle import sample_admissible
+from .particle import _admissible_draws
 from .scale import _ScaleTables
 from .valuation import ImprovementChains, admissible, frontier_ranks
 
@@ -94,27 +94,39 @@ class SwarmReport:
 
 def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
     """Deterministic for a fixed seed: per-particle RNG substreams are
-    spawned up front and every search loop runs in fixed index order."""
+    spawned up front and every search loop runs in fixed index order.
+    Each particle takes all its draws before the rounds run; when some
+    run dry, the error raised is the first (round, particle)'s."""
     config.validate()
     tables = _ScaleTables(inst, config.epsilon)
     system = inst.system
     n_rounds = config.draws
     n_particles = config.particles
     streams = np.random.SeedSequence(config.seed).spawn(n_particles)
-    gens = [np.random.default_rng(s) for s in streams]
     counters = [[0, 0] for _ in range(n_particles)]
-    buffers: list = [[] for _ in range(n_particles)]
+    walks, dry = [], []
+    for i, stream in enumerate(streams):
+        try:
+            walks.append(list(zip(*_admissible_draws(
+                system, inst.distribution, np.random.default_rng(stream), n_rounds + 1,
+                config.budget, counters[i]))))
+        except SamplingError as e:
+            dry.append((counters[i][1], i, e))  # the round that ran dry is the draws kept
+    if dry:
+        raise min(dry)[2]  # (round, particle) pairs differ, so no error is compared
 
-    strict = system.image_class_vectors.strict
+    strict, improved_on = system.image_class_vectors.strict, system.improved_on
     chains = [ImprovementChains(system) for _ in range(n_particles)]
+    drawn = [{} for _ in range(n_particles)]  # per particle: class id -> its ranks drawn
 
     flags: dict = {}  # (particle, draw_index) -> FlagEntry, first flag kept
     cross_links: list = []
 
     for k in range(n_rounds + 1):  # round 0 draws the starting positions only
         for i in range(n_particles):
-            chains[i].add(sample_admissible(system, inst.distribution, gens[i], config.budget,
-                                            counters[i], buffers[i]))
+            draw, rank, v = walks[i][k]
+            chains[i]._append(draw, rank, v)
+            drawn[i].setdefault(v, {})[rank] = None
         if k == 0:
             continue
 
@@ -122,9 +134,9 @@ def run_swarm(inst: Instance, config: SwarmConfig) -> SwarmReport:
         for i in range(n_particles):
             # the longest, then least, chain ending at a rank that draw k
             # strictly improves on and that is reversible into it
-            rank, row = chains[i].ranks[k], strict[:, chains[i].ids[k]].tolist()
-            _, witness = min((order for src, (order, u) in chains[i].by_rank.items()
-                              if row[u] and tables.reversible(src, rank)),
+            rank, by_rank = chains[i].ranks[k], chains[i].by_rank
+            _, witness = min((by_rank[src][0] for u in improved_on[chains[i].ids[k]]
+                              for src in drawn[i].get(u, ()) if tables.reversible(src, rank)),
                              default=(0, ()))
             if witness:
                 witness = tuple((i, idx) for idx in witness + (k,))

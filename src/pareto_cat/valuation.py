@@ -125,6 +125,11 @@ class ObjectDistribution:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def _integer_weights(self) -> tuple:  # each weight times D, and the common denominator D
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        return np.array([int(w * denom) for w in self.weights], dtype=object), denom
+
     def mass(self, systems: np.ndarray, exact: bool = False):
         """Product-measure mass of the systems given as rows of object ids.
 
@@ -133,11 +138,7 @@ class ObjectDistribution:
         sums integer numerators over the common denominator D^n as Python
         ints (D^n overflows int64) and returns a fraction.
         """
-        if exact:
-            denom = math.lcm(*(w.denominator for w in self.weights))
-            weights = np.array([int(w * denom) for w in self.weights], dtype=object)
-        else:
-            weights = self.as_floats
+        weights, denom = self._integer_weights if exact else (self.as_floats, None)
         products = np.ones(len(systems), dtype=weights.dtype)
         for column in systems.T:  # a column at a time, never a (rows, n) array of weights
             products = products * weights[column]
@@ -263,6 +264,11 @@ class ValuationSystem:
             arrows &= np.asarray(obj.target.hom)[least][:, least]
             present = renumbered[a][present] if a in renumbered else present
         return ClassVectors(ids, arrows, arrows & ~np.eye(len(arrows), dtype=bool))
+
+    @cached_property
+    def improved_on(self) -> tuple:
+        """Per class-vector id v, the ids that v strictly improves on, ascending."""
+        return tuple(np.flatnonzero(col).tolist() for col in self.image_class_vectors.strict.T)
 
     @property
     def _least(self) -> np.ndarray:  # per resource object, the least of its iso class
@@ -528,12 +534,10 @@ class ImprovementChains:
     of all of them. Strict improvement reads only class-vector ids, so
     the DP keeps one record per id v drawn instead of a history:
     ``by_class[v]`` is the least order of a chain ending at a draw of
-    class v. Reversibility reads only ranks: ``by_rank[r] = (order, v)``
-    holds the least order of a chain ending at a draw of rank r, and r's
-    class id. A longest chain ending at a draw extends one ending at an
-    earlier draw, one shorter, that it strictly improves on; so per
-    ``(v, length)`` bucket the walk keeps ``at[length][v]``, its draws,
-    and ``counts[length][v]``, the longest chains ending at them.
+    class v, and a draw of class v reads the records of the ids in
+    ``system.improved_on[v]`` alone. Reversibility reads only ranks:
+    ``by_rank[r] = (order, v)`` holds the least order of a chain ending
+    at a draw of rank r, and r's class id.
     """
 
     def __init__(self, system: ValuationSystem):
@@ -545,54 +549,47 @@ class ImprovementChains:
         self.best: tuple = ()
         self.by_class: dict = {}
         self.by_rank: dict = {}
-        self.at: dict = {}      # length -> class id -> its draws that long, ascending
-        self.counts: dict = {}  # length -> class id -> longest chains ending at those draws
 
     def add(self, draw: Sequence[int]) -> None:
         """Append ``draw``, reading the records of the classes it improves on."""
-        c = self.system.image_class_vectors
         rank = self.system.rank(draw)
-        v = int(c.ids[rank])
-        row = c.strict[:, v].tolist()
-        minus, prefix = min((o for u, o in self.by_class.items() if row[u]), default=(0, ()))
-        least = prefix + (len(self.draws),)
+        self._append(draw, rank, int(self.system.image_class_vectors.ids[rank]))
+
+    def _append(self, draw: tuple, rank: int, v: int) -> None:
+        """:meth:`add` of a draw whose rank and class id ``v`` are known."""
+        by_class, j = self.by_class, len(self.draws)
+        minus, prefix = min(filter(None, map(by_class.get, self.system.improved_on[v])),
+                            default=(0, ()))
+        least = prefix + (j,)
         order = (minus - 1, least)
-        self.by_class[v] = min(self.by_class.get(v, order), order)
+        by_class[v] = min(by_class.get(v, order), order)
         self.by_rank[rank] = min(self.by_rank.get(rank, (order, v)), (order, v))
         if order < (-len(self.best), self.best):
             self.best = least
-        n = len(least)
-        below = sum([m for u, m in self.counts.get(n - 1, {}).items() if row[u]])
-        counts = self.counts.setdefault(n, {})
-        counts[v] = counts.get(v, 0) + (below or 1)
-        self.at.setdefault(n, {}).setdefault(v, []).append(len(self.draws))
         self.least.append(least)
         self.draws.append(draw)
         self.ranks.append(rank)
         self.ids.append(v)
 
-    def buckets(self):
-        """Per draw in order, its ``(class id, length)`` bucket and the
-        buckets, filled by earlier draws, that its longest chains extend:
-        one shorter, of the classes it strictly improves on."""
-        strict = self.system.image_class_vectors.strict
-        for j, (v, least) in enumerate(zip(self.ids, self.least)):
-            n = len(least)
-            yield (v, n), [(u, n - 1) for u, js in self.at.get(n - 1, {}).items()
-                           if js[0] < j and strict[u, v]]
-
     def count_longest(self) -> int:
-        """How many longest chains there are, listing none."""
-        return sum(self.counts.get(len(self.best), {}).values())
+        """How many longest chains there are, listing none: draw by draw,
+        per (length, class id), the chains ending at its draws so far."""
+        counts, on = {}, self.system.improved_on
+        for v, n in zip(self.ids, map(len, self.least)):
+            below = sum([counts.get((n - 1, u), 0) for u in on[v]])
+            counts[n, v] = counts.get((n, v), 0) + (below or 1)
+        return sum(m for (n, _), m in counts.items() if n == len(self.best))
 
     def all_longest(self) -> list:
-        """Every longest chain, sorted.
+        """Every longest chain, in ascending order.
 
         Raises :class:`CapacityError` before listing any when the chains
-        hold more draw indices than the system's cap. The listing extends
-        chains leftwards from the draws of top length, by earlier draws
-        one shorter that they strictly improve on; every partial chain
-        completes, so no level holds more chains than the count.
+        hold more draw indices than the system's cap. A longest chain's
+        k-th member is a draw whose longest chains are k long. So from the
+        top length down, a draw's list of chain suffixes prefixes it to the
+        lists of the later draws, one longer, that improve on it, in draw
+        order: every list is ascending, with no sort, and every suffix
+        completes, so no level holds more suffixes than the count.
         """
         top, cap = len(self.best), self.system.cap
         count = self.count_longest()
@@ -600,13 +597,21 @@ class ImprovementChains:
             shown = count if count <= cap else f"more than {cap}"  # may run to thousands of digits
             raise CapacityError(f"listing {shown} longest chains of length {top} exceeds cap {cap}",
                                 required=count * top, cap=cap)
-        ids, at, strict = self.ids, self.at, self.system.image_class_vectors.strict
-        chains = [(j,) for js in at.get(top, {}).values() for j in js]
+        ids, on = self.ids, self.system.improved_on
+        at: dict = {}  # length -> the draws whose longest chains are that long, ascending
+        for j, least in enumerate(self.least):
+            at.setdefault(len(least), []).append(j)
+        suffixes = {j: [(j,)] for j in at.get(top, ())}
         for n in reversed(range(1, top)):
-            below = {v: [js for u, js in at[n].items() if strict[u, v]] for v in at[n + 1]}
-            chains = [(i,) + c for c in chains for js in below[ids[c[0]]]
-                      for i in js[:bisect_left(js, c[0])]]
-        return sorted(chains)
+            above: dict = {}  # class id -> the draws one longer that improve on it, ascending
+            for j in filter(suffixes.get, at[n + 1]):
+                for u in on[ids[j]]:
+                    above.setdefault(u, []).append(j)
+            longer, suffixes = suffixes, {}
+            for i in at[n]:
+                js, head = above.get(ids[i], []), (i,)
+                suffixes[i] = [head + c for j in js[bisect_left(js, i):] for c in longer[j]]
+        return [c for i in at.get(1, ()) for c in suffixes[i]]
 
 
 def longest_strict_chains(system: ValuationSystem, draws: Sequence[Sequence[int]]) -> list:

@@ -389,34 +389,66 @@ def sampling_cases(draw):
     return system, dist, draw(st.integers(1, 40))
 
 
+def half_admissible_case():
+    """One slot, two objects, only object 1 admissible, and 40-row blocks."""
+    cat = pc.ResourceCategory(2, [[1, 0], [1, 1]], [[0], [1]], 0, [[0, 1], [1, 1]])
+    target = pc.TargetCategory(2, [[1, 0], [0, 1]], [[0], [1]])
+    obj = pc.Objective(target=target, goal=1, kind="composed", h=(0, 1))
+    system = pc.ValuationSystem(cat=cat, n=1, objectives=(obj,), cap=100)
+    return system, pc.ObjectDistribution(["1/2", "1/2"]), 40
+
+
 @given(sampling_cases(), st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 12))
+# call 8 runs dry on exactly `budget` rejections, inside a block that holds later admissible draws
+@example(case=half_admissible_case(), seed=4, budget=2, calls=12)
 @settings(max_examples=150, deadline=None)
 def test_read_ahead_sampling_matches_sequential_calls(case, seed, budget, calls):
-    """Reading ahead from a private generator returns the same draws,
-    tallies the same attempts and fails the same calls, with the same
-    measured rate, as taking one draw at a time."""
+    """Taking a walk's draws as arrays, in read-ahead blocks, returns the
+    same draws, tallies the same attempts and fails the same call, with
+    the same measured rate, as taking one draw at a time, up to the
+    first failure."""
     system, dist, digits = case
 
-    def outcomes(buffer):
+    def outcomes():
         gen, counter, out = np.random.default_rng(seed), [0, 0], []
         for _ in range(calls):
             try:
-                out.append(particle.sample_admissible(system, dist, gen, budget, counter,
-                                                      buffer))
+                out.append(particle.sample_admissible(system, dist, gen, budget, counter))
             except pc.SamplingError as e:
                 out.append(("error", e.acceptance_rate))
             out.append(tuple(counter))
         return out, gen
 
+    def array_outcomes():
+        # the first `count` calls' draws from a fresh generator, per count;
+        # every count past the first call to run dry fails as that call did
+        out, failed = [], None
+        for count in range(1, calls + 1):
+            counter = [0, 0]
+            try:
+                draws, ranks, ids = particle._admissible_draws(
+                    system, dist, np.random.default_rng(seed), count, budget, counter)
+            except pc.SamplingError as e:
+                failed = failed or [("error", e.acceptance_rate), tuple(counter)]
+                assert [("error", e.acceptance_rate), tuple(counter)] == failed
+                continue
+            assert failed is None
+            assert draws[:-1] == out[::2]
+            assert ranks == [system.rank(d) for d in draws]
+            assert ids == system.image_class_vectors.ids[ranks].tolist()
+            out += [draws[-1], tuple(counter)]
+        return out + (failed or [])
+
     saved = particle.READ_AHEAD_DIGITS
     particle.READ_AHEAD_DIGITS = digits
     try:
-        buffered, _ = outcomes([])
-        sequential, gen = outcomes(None)
+        arrays = array_outcomes()
+        sequential, gen = outcomes()
     finally:
         particle.READ_AHEAD_DIGITS = saved
-    assert buffered == sequential
-    # without a buffer, the calls took from the generator exactly the draws they tried
+    assert arrays == sequential[:len(arrays)]
+    assert len(arrays) == len(sequential) or "error" in arrays[-2]
+    # one draw at a time, the calls took from the generator exactly the draws they tried
     ref = np.random.default_rng(seed)
     if system.n:
         ref.choice(system.cat.size, size=(sequential[-1][0], system.n), p=dist.as_floats)

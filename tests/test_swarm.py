@@ -215,6 +215,35 @@ def test_sampling_error_propagates():
         pc.run_swarm(inst, cfg)
 
 
+@pytest.mark.parametrize("seed", [4, 11])
+def test_swarm_raises_the_first_round_and_particle_to_run_dry(seed):
+    """Particles run dry at different rounds (seed 4: particle 2 before
+    particle 0; seed 11: particles 1 and 2 in one round, before particle
+    0). The swarm raises the error that one draw per particle per round,
+    in particle order, meets first, with that particle's measured rate."""
+    doc = fixture_doc("chain3")
+    doc["distribution"]["weights"] = ["7/10", "1/10", "1/10", "1/10"]  # about half admissible
+    inst = pc.load_instance(doc)
+    cfg = pc.SwarmConfig(particles=3, draws=12, epsilon=1, seed=seed, budget=3)
+    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    counters = [[0, 0] for _ in gens]
+    dry = {}  # particle -> (round, rate) of its first failure
+    for k in range(cfg.draws + 1):
+        for i, gen in enumerate(gens):
+            if i not in dry:
+                try:
+                    pc.sample_admissible(inst.system, inst.distribution, gen, cfg.budget,
+                                         counters[i])
+                except pc.SamplingError as e:
+                    dry[i] = (k, e.acceptance_rate)
+    first = min(dry, key=lambda i: (dry[i][0], i))
+    assert first != 0 and dry[0][0] > dry[first][0]
+    assert dry[0][1] != dry[first][1]
+    with pytest.raises(pc.SamplingError) as err:
+        pc.run_swarm(inst, cfg)
+    assert err.value.acceptance_rate == dry[first][1]
+
+
 def test_chain_listing_guard_on_improvement_cycles(cycle2):
     """cycle2's longest chains multiply with the draws: the report
     refuses to list them beyond the instance's cap, and lists them as
