@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructureError
 from .rescat import TargetCategory
+from .valuation import _take
 
 INF = math.inf
 
@@ -39,11 +40,7 @@ def first_bad_row(table, hom) -> Optional[tuple]:
     cols = np.ascontiguousarray(t.T, np.min_scalar_type(len(hom) ** 2 - 1))
     pairs = cols[:-1] * len(hom)  # (grid_len - 1, rows)
     pairs += cols[1:]
-    if pairs.dtype == np.uint8:  # through hom's bytes, padded to a 256-byte table
-        arrows = np.frombuffer(pairs.tobytes().translate(hom.tobytes().ljust(256, b"\0")),
-                               bool).reshape(pairs.shape)
-    else:
-        arrows = np.take(hom.ravel(), pairs)
+    arrows = _take(hom.ravel(), pairs)
     if not arrows.all():
         r, s = np.argwhere(~arrows.T)[0]
         return ("transition", int(r),

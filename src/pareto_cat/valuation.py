@@ -22,7 +22,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
@@ -150,6 +150,21 @@ class ObjectDistribution:
         return self.mass(np.array([values], dtype=np.intp), exact)
 
 
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` for a 1-d ``table`` and an in-range ``index``: a uint8 index
+    into at most 256 one-byte values through ``bytes.translate`` on the table's
+    bytes padded to 256 (no intp copy; the result is read-only), else a gather."""
+    if index.dtype == np.uint8 and table.itemsize == 1 and len(table) <= 256:
+        return np.frombuffer(index.tobytes().translate(table.tobytes().ljust(256, b"\0")),
+                             table.dtype).reshape(index.shape)
+    return table[index]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _dense(key: np.ndarray, size: int) -> tuple:
     """``key``'s distinct values (all below ``size``), ascending, and ``key``
     renumbered by them, as ``np.unique`` returns them: by a presence table
@@ -166,10 +181,11 @@ def _present(key: np.ndarray, size: int) -> tuple:
 
 class ClassVectors(NamedTuple):
     """A system's image-class vector is the tuple of target iso classes of
-    its images. ``ids[rank]`` numbers the distinct vectors 0..V-1, and
-    ``arrows[u, v]`` holds when every objective has an arrow from vector
-    u's images to vector v's: improvement only reads iso classes.
-    ``strict`` is ``arrows`` off the diagonal: strict improvement."""
+    its images. ``ids[rank]`` numbers the distinct vectors 0..V-1, in the
+    least unsigned dtype that holds V - 1, and ``arrows[u, v]`` holds when
+    every objective has an arrow from vector u's images to vector v's:
+    improvement only reads iso classes. ``strict`` is ``arrows`` off the
+    diagonal: strict improvement. All three are read-only."""
 
     ids: np.ndarray
     arrows: np.ndarray
@@ -192,12 +208,12 @@ class ValuationSystem:
     def _guard(self) -> None:
         check_capacity(self.cat.size, self.n, self.cap)
 
-    def _fold(self, init: int, step) -> np.ndarray:
+    def _fold(self, init: int, step, dtype=np.intp) -> np.ndarray:
         """Per rank, the left fold ``acc = step(acc, digit)`` over the
-        system's digits from ``init``, by iterated gather in rank order."""
+        system's digits from ``init``, by iterated gather in rank order, in ``dtype``."""
         self._guard()
-        acc = np.array([init])
-        objects = np.arange(self.cat.size)[None, :]
+        acc = np.array([init], dtype)
+        objects = np.arange(self.cat.size, dtype=dtype)[None, :]
         for _ in range(self.n):
             acc = step(acc[:, None], objects).ravel()
         return acc
@@ -213,22 +229,23 @@ class ValuationSystem:
 
     @cached_property
     def image_tables(self) -> tuple:
-        """Per objective, the image object of every rank."""
-        tensor = np.asarray(self.cat.tensor, np.min_scalar_type(self.cat.size - 1))
-        evaluation = self._fold(self.cat.unit, lambda acc, v: tensor[acc, v])
-        return tuple(
-            obj.array if obj.kind == "table" else obj.array[evaluation]
-            for obj in self.objectives
-        )
+        """Per objective, the image object of every rank, in the least unsigned
+        dtype that holds a target object. The tensor fold reads the pair
+        number ``acc * K + v``, a byte when K <= 16, through the flat tensor."""
+        k = self.cat.size
+        pair = np.min_scalar_type(k * k - 1)
+        tensor = np.asarray(self.cat.tensor, pair).ravel()
+        evaluation = self._fold(self.cat.unit, lambda acc, v: _take(tensor, acc * k + v), pair)
+        images = [(o.kind == "table", o.array.astype(np.min_scalar_type(o.target.size - 1)))
+                  for o in self.objectives]
+        return tuple(_read_only(a if table else _take(a, evaluation)) for table, a in images)
 
     @cached_property
     def admissible_mask(self) -> np.ndarray:
         """Per rank, whether every objective's image converts into its goal."""
-        self._guard()
-        mask = np.ones(self.functor_count, dtype=bool)
-        for obj, table in zip(self.objectives, self.image_tables):
-            mask &= np.asarray(obj.target.hom)[:, obj.goal][table]
-        return mask
+        return _read_only(reduce(np.logical_and, (
+            _take(np.asarray(obj.target.hom)[:, obj.goal], table)
+            for obj, table in zip(self.objectives, self.image_tables))))
 
     @cached_property
     def admissible_flags(self) -> tuple:
@@ -237,33 +254,43 @@ class ValuationSystem:
     @cached_property
     def class_tables(self) -> tuple:
         """Per objective, every rank's image class, in the least unsigned dtype."""
-        return tuple(np.asarray(o.target.iso_class_of,
-                                np.min_scalar_type(len(o.target.iso_classes) - 1))[table]
+        return tuple(_read_only(_take(np.asarray(
+            o.target.iso_class_of, np.min_scalar_type(len(o.target.iso_classes) - 1)), table))
                      for o, table in zip(self.objectives, self.image_tables))
 
     @cached_property
     def image_class_vectors(self) -> ClassVectors:
         """Class-vector ids of every rank, in lexicographic order of the
         vectors, and the arrows between vectors, read off each class's least
-        object. The key ``key * m + class`` (m classes) per objective is made
-        dense only when the next radix would take it past the rank count."""
-        radices = [len(obj.target.iso_classes) for obj in self.objectives]
-        key, size, renumbered = self.class_tables[0].astype(np.intp), radices[0], {}
+        object. The key ``key * m + class`` (m classes) per objective stays a
+        byte when the product of class counts is at most 256, its present values
+        found by a bytes search; else it is made dense only when the next radix
+        would take it past the rank count."""
+        radices, renumbered = [len(obj.target.iso_classes) for obj in self.objectives], {}
+        byte = math.prod(radices) <= 256  # then the key stays a byte and is never renumbered
+        key, size = self.class_tables[0].astype(np.uint8 if byte else np.intp), radices[0]
         for a in range(1, len(radices)):
-            if size * radices[a] > len(key):
+            if not byte and size * radices[a] > len(key):
                 renumbered[a], key = _dense(key, size)
                 size = len(renumbered[a])
-            key *= radices[a]
+            key *= radices[a] % 256 if byte else radices[a]  # 256 only after radices of 1: key 0
             key += self.class_tables[a]
             size *= radices[a]
-        present, ids = _dense(key, size)
+        if byte:
+            data = key.tobytes()
+            found = np.array([bytes((c,)) in data for c in range(size)])
+            present = np.flatnonzero(found)
+            ids = _take((np.cumsum(found) - 1).astype(np.uint8), key)
+        else:
+            present, ids = _dense(key, size)
+            ids = ids.astype(np.min_scalar_type(len(present) - 1))
         arrows = np.ones((len(present), len(present)), dtype=bool)
         for a, obj in reversed(list(enumerate(self.objectives))):  # decode, last objective first
             present, classes = np.divmod(present, radices[a])
             least = np.array([c[0] for c in obj.target.iso_classes])[classes]
             arrows &= np.asarray(obj.target.hom)[least][:, least]
             present = renumbered[a][present] if a in renumbered else present
-        return ClassVectors(ids, arrows, arrows & ~np.eye(len(arrows), dtype=bool))
+        return ClassVectors(*map(_read_only, (ids, arrows, arrows & ~np.identity(len(arrows), bool))))
 
     @cached_property
     def improved_on(self) -> tuple:
@@ -280,8 +307,8 @@ class ValuationSystem:
         object replaced by the least member of its iso class, in the least
         unsigned dtype that holds a rank."""
         k, least = self.cat.size, self._least
-        return self._fold(0, lambda acc, v: acc * k + least[v]).astype(
-            np.min_scalar_type(self.functor_count - 1))
+        return _read_only(self._fold(0, lambda acc, v: acc * k + least[v]).astype(
+            np.min_scalar_type(self.functor_count - 1)))
 
     def rank(self, values: Sequence[int]) -> int:
         if len(values) != self.n:
@@ -375,7 +402,7 @@ def minorizes(system: ValuationSystem, phi: Sequence[int], psi: Sequence[int],
 def _admissible_ranks(system: ValuationSystem, keep: np.ndarray) -> np.ndarray:
     """Ascending ranks of the admissible systems whose image-class vector
     id the bool mask ``keep`` marks."""
-    return np.flatnonzero(system.admissible_mask & keep[system.image_class_vectors.ids])
+    return np.flatnonzero(system.admissible_mask & _take(keep, system.image_class_vectors.ids))
 
 
 def _improving_ranks(system: ValuationSystem, phi: Sequence[int]) -> np.ndarray:

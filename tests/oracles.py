@@ -106,6 +106,15 @@ def brute_mass(doc, phi):
     return total
 
 
+def admissibility(doc):
+    """Per rank, whether every objective's image converts into its goal,
+    read off ``image_of`` and each target's hom table."""
+    k, n = doc["category"]["objects"], doc["system_size"]
+    return np.array([all(v["target"]["hom"][image_of(doc, a, t)][v["goal"]]
+                         for a, v in enumerate(doc["valuations"]))
+                     for t in product(range(k), repeat=n)], dtype=bool)
+
+
 def class_vector_numbering(doc):
     """Image-class vectors numbered by ``np.unique`` over the stacked
     per-objective class rows, with no packed integer key. Returns, per

@@ -467,14 +467,19 @@ def test_the_one_digit_reader_matches_json_or_declines(data):
     assert read(text) == parse(text)
 
 
-@pytest.fixture(scope="module")
-def deep_instance(tmp_path_factory):
-    """The frontier benchmark's deep instance at seed 1, as ``bench/gen.py`` writes it."""
+def _bench_gen():
+    """``bench/gen.py``, the benchmark's instance generator, as a module."""
     spec = importlib.util.spec_from_file_location(
         "gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return gen.write_family("deep", 1, tmp_path_factory.mktemp("deep"))
+    return gen
+
+
+@pytest.fixture(scope="module")
+def deep_instance(tmp_path_factory):
+    """The frontier benchmark's deep instance at seed 1, as ``bench/gen.py`` writes it."""
+    return _bench_gen().write_family("deep", 1, tmp_path_factory.mktemp("deep"))
 
 
 def test_the_deep_load_allocates_nothing_as_large_as_its_scale_section(deep_instance):
@@ -505,6 +510,28 @@ def test_the_deep_load_allocates_nothing_as_large_as_its_scale_section(deep_inst
         tracemalloc.stop()
     assert section > 5_000_000 and problems == [] and [bad for bad, _ in rows] == [None, None]
     assert max(read, built, maps, *(size for _, size in rows)) < section
+
+
+def test_the_exact_query_holds_bytes_not_words(deep_instance):
+    """On the loaded deep instance, the admissibility table, the class
+    vectors and the benchmark's exact lambda query keep at most 2 bytes per
+    rank (the admissibility table and the class-vector ids, one byte each),
+    beside at most 64 KiB of per-vector tables and Python objects, and
+    allocate at most 4 bytes per rank above that on the way: no intp table
+    over the ranks."""
+    inst = pc.load_instance(deep_instance)
+    system, ranks = inst.system, inst.system.functor_count
+    query = _bench_gen().query_system("deep", 1)
+    tracemalloc.start()
+    try:
+        system.admissible_mask, system.image_class_vectors
+        mass = pc.minorization_mass(system, inst.distribution, query, exact=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mass == Fraction(81, 16384)
+    assert held <= 2 * ranks + 65536
+    assert peak - held <= 4 * ranks
 
 
 def test_a_non_ascii_document_loads_whatever_the_locale(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import math
 import json
 import time
 import tracemalloc
@@ -318,19 +320,26 @@ def _check_against_per_objective_numbering(system):
     ids, arrows, strict = oracles.per_objective_class_vectors(
         images, [(obj.target.iso_classes, obj.target.hom) for obj in system.objectives])
     c = system.image_class_vectors
-    assert c.ids.dtype == ids.dtype == np.intp
+    assert c.ids.dtype == np.min_scalar_type(len(c.arrows) - 1) and ids.dtype == np.intp
     assert np.array_equal(c.ids, ids)
     assert np.array_equal(c.arrows, arrows)
     assert np.array_equal(c.strict, strict)
     for obj, table, classes in zip(system.objectives, images, system.class_tables):
         assert np.array_equal(classes, np.asarray(obj.target.iso_class_of)[table])
         assert classes.dtype == np.min_scalar_type(len(obj.target.iso_classes) - 1)
+    for obj, table, image in zip(system.objectives, images, system.image_tables):
+        assert np.array_equal(image, table)
+        assert image.dtype == np.min_scalar_type(obj.target.size - 1)
 
 
-# a renumber after objective 1 of 2 by the presence table, then the final
-# one by np.unique (2 ids x 3 classes exceed the 4 ranks); and 70
-# objectives of 2 classes over 2 ranks, renumbered at every objective
-NUMBERING_EXAMPLES = (TWO_STEP, pc.load_instance(many_objectives_doc(70)).system)
+# TWO_STEP with a 257-object second target, so that its 2 x 257 class
+# vectors are past a byte and take the renumbering route: a renumber after
+# objective 1 of 2 by the presence table, then the final one by np.unique
+# (2 ids x 257 classes exceed the 4 ranks); and 70 objectives of 2 classes
+# over 2 ranks, renumbered at every objective
+TWO_STEP_PAST_A_BYTE = dataclasses.replace(TWO_STEP, objectives=(
+    TWO_STEP.objectives[0], dataclasses.replace(TWO_STEP.objectives[1], target=_chain_target(257))))
+NUMBERING_EXAMPLES = (TWO_STEP_PAST_A_BYTE, pc.load_instance(many_objectives_doc(70)).system)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -340,6 +349,7 @@ def test_class_vectors_on_fixtures_match_the_per_objective_numbering(all_instanc
 
 @settings(max_examples=60, deadline=None)
 @given(many_table_objectives())
+@example(TWO_STEP)
 @example(NUMBERING_EXAMPLES[0])
 @example(NUMBERING_EXAMPLES[1])
 def test_class_vectors_match_the_per_objective_numbering(system):
@@ -362,6 +372,104 @@ def test_numbering_examples_take_both_dense_branches_and_renumber_midway(monkeyp
         fresh.image_class_vectors
     assert {sorted_ for _, sorted_ in calls} == {False, True}
     assert all(sum(b == build for b, _ in calls) > 1 for build in range(len(NUMBERING_EXAMPLES)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_take_equals_plain_indexing(data):
+    """The byte route and the gather give ``table[index]``, values and dtype:
+    bool and uint8 tables of 1 to 257 entries, uint8, uint16 and intp
+    indices, empty ones too."""
+    size = data.draw(st.one_of(st.integers(1, 256), st.just(257)))
+    dtype = data.draw(st.sampled_from([np.bool_, np.uint8]))
+    table = np.array(data.draw(st.lists(st.integers(0, 255), min_size=size, max_size=size)),
+                     np.uint8).astype(dtype)
+    index_dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.intp]))
+    top = min(size, np.iinfo(index_dtype).max + 1) - 1
+    shape = data.draw(st.sampled_from([(0,), (1,), (33,), (3, 5), (0, 4)]))
+    index = np.array(data.draw(st.lists(st.integers(0, top), min_size=math.prod(shape),
+                                        max_size=math.prod(shape))), index_dtype).reshape(shape)
+    got, want = valuation._take(table, index), np.asarray(table)[index]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _level_target(size: int, classes: int) -> pc.TargetCategory:
+    """``size`` objects on ``classes`` levels, lower levels first; an arrow
+    a -> b when a's level is at least b's, so each level is an iso class."""
+    level = [x * classes // size for x in range(size)]
+    return pc.TargetCategory(size, [[level[a] >= level[b] for b in range(size)] for a in range(size)],
+                             [[x for x in range(size) if level[x] == c] for c in range(classes)])
+
+
+@st.composite
+def byte_boundary_systems(draw, k, n, radices):
+    """K resource objects with a free tensor table and unit (the rank
+    tables read no law), systems of size n, and one objective per class
+    count in ``radices``, into a target of that many classes and as many
+    objects, or 256, or 257; table or composed, with free images."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cat = pc.ResourceCategory(k, np.eye(k, dtype=bool).tolist(), [[x] for x in range(k)],
+                              int(rng.integers(k)), rng.integers(k, size=(k, k)).tolist())
+    objectives = []
+    for m in radices:
+        target = _level_target(draw(st.sampled_from([s for s in (m, 256, 257) if s >= m])), m)
+        kind = draw(st.sampled_from(["table", "composed"]))
+        images = tuple(rng.integers(target.size, size=k ** n if kind == "table" else k).tolist())
+        objectives.append(pc.Objective(target=target, goal=draw(st.integers(0, target.size - 1)),
+                                       kind=kind, **{"entries" if kind == "table" else "h": images}))
+    return pc.ValuationSystem(cat=cat, n=n, objectives=tuple(objectives))
+
+
+# 16 resource objects make the tensor fold's pair number a * K + v a byte,
+# 17 a uint16; n = 0 and K = 1 leave one rank
+@pytest.mark.parametrize("k, n", [(1, 0), (1, 3), (16, 0), (16, 2), (17, 2)])
+# class-count products of 49, 256 and 257 (a leading class count of one
+# multiplies the byte key by 256) and past a byte
+@pytest.mark.parametrize("radices", [(7, 7), (256,), (16, 16), (1, 256), (257,), (1, 257), (2, 129)])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_rank_tables_at_the_byte_boundaries_match_brute_force(k, n, radices, data):
+    """Image tables, class tables, admissibility and class vectors, in
+    values and least dtypes, against images folded one system at a time
+    and a numbering by np.unique over the stacked class rows."""
+    system = data.draw(byte_boundary_systems(k, n, radices))
+    doc = system_doc(system)
+    for obj, want, image, classes in zip(system.objectives, _raw_images(system),
+                                         system.image_tables, system.class_tables):
+        assert image.dtype == np.min_scalar_type(obj.target.size - 1)
+        assert np.array_equal(image, want)
+        assert classes.dtype == np.min_scalar_type(len(obj.target.iso_classes) - 1)
+        assert np.array_equal(classes, np.asarray(obj.target.iso_class_of)[want])
+    assert np.array_equal(system.admissible_mask, oracles.admissibility(doc))
+    ids, _, arrows, strict, _ = oracles.class_vector_numbering(doc)
+    c = system.image_class_vectors
+    assert c.ids.dtype == np.min_scalar_type(len(arrows) - 1)
+    assert np.array_equal(c.ids, ids)
+    assert np.array_equal(c.arrows, arrows) and np.array_equal(c.strict, strict)
+
+
+def _past_a_byte_system():
+    """Four systems whose every rank table takes the gather route: images
+    into 257 objects, and class vectors over 257 x 257 class pairs."""
+    target = _chain_target(257)
+    return pc.ValuationSystem(cat=TWO_STEP.cat, n=2, objectives=(
+        pc.Objective(target=target, goal=0, kind="table", entries=(256, 0, 3, 255)),
+        pc.Objective(target=target, goal=0, kind="composed", h=(1, 256))))
+
+
+@pytest.mark.parametrize("route", ["byte", "gather"])
+def test_cached_rank_tables_are_read_only(staircase, route):
+    """Whichever route built them, the cached rank tables refuse an in-place write."""
+    system = (pc.ValuationSystem(cat=staircase.cat, n=staircase.n, objectives=staircase.objectives)
+              if route == "byte" else _past_a_byte_system())
+    assert (system.image_tables[0].dtype == np.uint8) == (route == "byte")
+    tables = (*system.image_tables, *system.class_tables, system.admissible_mask,
+              *system.image_class_vectors, system.iso_representatives)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[...] = 0
 
 
 def test_class_vectors_take_memory_linear_in_the_ranks():
