@@ -166,10 +166,11 @@ class _ScaleTables:
     """The instance's scale tables read by rank, for one shift ``eps``.
 
     Per objective, the ``(systems, grid_len)`` table of object ids, in
-    whatever integer dtype the instance holds it, and its target's
-    hom matrix. Every row is checked once, as :class:`ScaleObject` checks
-    one, so a hand-built instance fails with the same
-    :class:`StructureError`. Reversibility is memoised per rank pair.
+    whatever integer dtype the instance holds it, its target's hom
+    matrix, and the one shift row ``min(s + eps, grid_len - 1)``. Every
+    row is checked once, as :class:`ScaleObject` checks one, so a
+    hand-built instance fails with the same :class:`StructureError`, and
+    so does a hom that is not transitive, which :meth:`near` needs.
     """
 
     def __init__(self, inst: "Instance", eps: int):
@@ -178,17 +179,17 @@ class _ScaleTables:
         if eps < 0:
             raise PreconditionError(f"epsilon must be non-negative, got {eps}")
         self.objectives = []
-        for table, obj in zip(inst.scale.tables, inst.objectives):
-            bad = first_bad_row(table, obj.target.hom)
-            if bad:
-                raise StructureError(bad[2])
-            t = np.asarray(table)  # indexes only: a narrow table stays narrow
+        for alpha, (table, obj) in enumerate(zip(inst.scale.tables, inst.objectives)):
             hom = np.asarray(obj.target.hom, dtype=bool)
+            if bad := first_bad_row(table, hom):
+                raise StructureError(bad[2])
+            # pairs with a two-step path but no arrow (float32 counts exactly to 2^24 objects)
+            if len(gaps := np.argwhere((hom.astype(np.float32) @ hom > 0) > hom)):
+                raise StructureError("the target hom of objective %d is not transitive: %d -> %d "
+                                     "is a two-step path without an arrow" % (alpha, *gaps[0]))
+            t = np.asarray(table)  # indexes only: a narrow table stays narrow
             top = t.shape[1] - 1
-            # row e, for e = 0..min(eps, top): grid point s advanced by e
-            # steps, the last value repeating; the last row is the eps shift
-            shifts = np.minimum(np.arange(top + 1) + np.arange(min(eps, top) + 1)[:, None], top)
-            self.objectives.append((t, hom, shifts))
+            self.objectives.append((t, hom, np.minimum(np.arange(top + 1) + min(eps, top), top)))
         self.memo: dict = {}  # (src, dst) rank pair -> reversible(src, dst)
 
     def reversible(self, src: int, dst: int) -> bool:
@@ -200,21 +201,17 @@ class _ScaleTables:
         key = (src, dst)
         if key not in self.memo:
             self.memo[key] = all(
-                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shifts[-1]]].all()
-                for t, hom, shifts in self.objectives)
+                hom[t[src], t[dst]].all() and hom[t[dst], t[src][shift]].all()
+                for t, hom, shift in self.objectives)
         return self.memo[key]
 
     def near(self, rank: int, members: np.ndarray) -> np.ndarray:
-        """Per member rank: within interleaving distance ``eps`` of
-        ``rank`` in every objective, i.e. ``e``-interleaved for some
-        ``e`` in ``0..min(eps, grid_len - 1)``; read a shift at a time, on
-        the members not yet found near, so no array is (members x shifts)."""
+        """Per member rank: within interleaving distance ``eps`` of ``rank`` in
+        every objective, read at the one shift: ``y(s) -> z(s + e)`` composes with
+        the grid step ``z(s + e) -> z(s + e + 1)`` in a transitive hom, and past
+        the grid's end both read one value, so e- implies (e + 1)-interleaved."""
         out = np.ones(len(members), dtype=bool)
-        for t, hom, shifts in self.objectives:
-            y, todo, out = t[rank], np.flatnonzero(out), np.zeros(len(members), dtype=bool)
-            for row in shifts:
-                z = t[members[todo]]
-                hit = (hom[y, z[:, row]] & hom[z, y[row]]).all(axis=1)
-                out[todo[hit]] = True
-                todo = todo[~hit]
+        for t, hom, shift in self.objectives:
+            y, z = t[rank], t[members]
+            out &= (hom[y, z[:, shift]] & hom[z, y[shift]]).all(axis=1)
         return out

@@ -165,18 +165,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _dense(key: np.ndarray, size: int) -> tuple:
-    """``key``'s distinct values (all below ``size``), ascending, and ``key``
-    renumbered by them, as ``np.unique`` returns them: by a presence table
-    over 0..size-1 when that is no longer than ``key``, else by sorting."""
-    return np.unique(key, return_inverse=True) if size > len(key) else _present(key, size)
-
-
-def _present(key: np.ndarray, size: int) -> tuple:
-    """:func:`_dense` by a presence table over 0..size-1, whatever its length."""
+def _present(key: np.ndarray, size: int) -> np.ndarray:
+    """Per value 0..size-1, whether ``key`` holds it: a uint8 key by a search of
+    its bytes for each value (no intp copy), any other key by a presence table."""
+    if key.dtype == np.uint8 and size <= 256:
+        data = key.tobytes()
+        return np.array([bytes((v,)) in data for v in range(size)], dtype=bool)
     present = np.zeros(size, dtype=bool)
     present[key] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[key]
+    return present
+
+
+def _dense(key: np.ndarray, size: int) -> tuple:
+    """``key``'s distinct values (all below ``size``), ascending, and ``key``
+    renumbered by them: by :func:`_present` over 0..size-1 when that is no
+    longer than ``key`` or 256, in ``key``'s dtype, else as ``np.unique`` does."""
+    if size > max(len(key), 256):
+        return np.unique(key, return_inverse=True)
+    present = _present(key, size)
+    return np.flatnonzero(present), _take((np.cumsum(present) - 1).astype(key.dtype, copy=False), key)
 
 
 class ClassVectors(NamedTuple):
@@ -276,14 +283,8 @@ class ValuationSystem:
             key *= radices[a] % 256 if byte else radices[a]  # 256 only after radices of 1: key 0
             key += self.class_tables[a]
             size *= radices[a]
-        if byte:
-            data = key.tobytes()
-            found = np.array([bytes((c,)) in data for c in range(size)])
-            present = np.flatnonzero(found)
-            ids = _take((np.cumsum(found) - 1).astype(np.uint8), key)
-        else:
-            present, ids = _dense(key, size)
-            ids = ids.astype(np.min_scalar_type(len(present) - 1))
+        present, ids = _dense(key, size)
+        ids = ids.astype(np.min_scalar_type(len(present) - 1), copy=False)
         arrows = np.ones((len(present), len(present)), dtype=bool)
         for a, obj in reversed(list(enumerate(self.objectives))):  # decode, last objective first
             present, classes = np.divmod(present, radices[a])
@@ -519,7 +520,7 @@ def frontier_ranks(system: ValuationSystem) -> np.ndarray:
     improvement set: their class vector is present among the admissible
     systems and has no strict arrow to a present one."""
     c = system.image_class_vectors
-    present = np.bincount(c.ids[system.admissible_mask], minlength=len(c.arrows)) > 0
+    present = _present(c.ids[system.admissible_mask], len(c.arrows))
     return _admissible_ranks(system, present & ~c.strict[:, present].any(axis=1))
 
 
@@ -532,10 +533,11 @@ def pareto_frontier(system: ValuationSystem) -> FrontierResult:
     represents its group, and groups are sorted by representative.
     """
     ranks = frontier_ranks(system)
+    keys = system.iso_representatives[ranks]
     # the keys are ranks: a table over them, no longer than the rank tables, groups them unsorted
-    keys, group = _present(system.iso_representatives[ranks], system.functor_count)
-    leader = np.full(len(keys), len(ranks))
-    del keys
+    counts = np.cumsum(_present(keys, system.functor_count))
+    group, leader = counts[keys] - 1, np.full(counts[-1], len(ranks))
+    del counts, keys
     np.minimum.at(leader, group, np.arange(len(ranks)))  # each group's first member
     order = np.argsort(leader[group], kind="stable")
     return FrontierResult(

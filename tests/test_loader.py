@@ -24,6 +24,7 @@ from pareto_cat.cli import main
 from pareto_cat import instance
 from pareto_cat.instance import _first_digits, _grid_table, _numpy_sections
 from pareto_cat.scale import first_bad_row
+from pareto_cat.valuation import frontier_ranks
 
 from conftest import FIXTURES, fixture_doc
 
@@ -532,6 +533,22 @@ def test_the_exact_query_holds_bytes_not_words(deep_instance):
     assert mass == Fraction(81, 16384)
     assert held <= 2 * ranks + 65536
     assert peak - held <= 4 * ranks
+
+
+def test_the_frontier_ranks_read_the_class_ids_as_bytes(deep_instance):
+    """On the loaded deep instance, the frontier's ranks allocate at most 2
+    bytes per rank above the array they return: the class ids of the
+    admissible systems are searched as bytes. Counting them with
+    ``np.bincount`` casts them to intp and takes 4.6 bytes per rank."""
+    system = pc.load_instance(deep_instance).system
+    system.admissible_mask, system.image_class_vectors
+    tracemalloc.start()
+    try:
+        ranks = frontier_ranks(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranks) > 0 and peak - ranks.nbytes <= 2 * system.functor_count
 
 
 def test_a_non_ascii_document_loads_whatever_the_locale(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_cat as pc
+from pareto_cat.cli import main
 from pareto_cat.swarm import _ScaleTables
 
-from conftest import fixture_doc, valuation_systems
+from conftest import fixture_doc, valuation_systems, worst_case_doc
 
 
 def small(seed, particles=4, draws=8, epsilon=1):
@@ -301,6 +304,55 @@ def test_scale_tables_match_scale_objects(inst, eps, data):
     for m in ranks:
         assert tables.reversible(x, m) == _scale_reversible(inst, systems[x], systems[m], eps)
         assert near[m] == all(pc.interleaving_distance(y, z) <= eps for y, z in images(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_instances())
+def test_interleaving_is_monotone_in_the_shift(inst):
+    """By the ScaleObject functions, on every pair of scaled images:
+    e-interleaved implies (e + 1)-interleaved, for e from 0 to past the
+    grid's end. So the least shift within ``eps`` is ``eps`` itself."""
+    systems = [tuple(row) for row in inst.system.digits(range(inst.system.functor_count)).tolist()]
+    for alpha in range(len(inst.objectives)):
+        images = [inst.scaled_image(alpha, values) for values in systems]
+        for y, z in itertools.product(images, repeat=2):
+            held = [pc.epsilon_interleaved(y, z, e) for e in range(inst.scale.grid_len + 3)]
+            assert all(after for before, after in zip(held, held[1:]) if before), held
+
+
+def test_scale_queries_refuse_a_target_hom_that_is_not_transitive(tmp_path, capsys):
+    """Two systems, (0,) and (1,), whose one objective's target has the
+    arrows 0 -> 2, 1 -> 2, 2 -> 0 and 2 -> 1 beside the identities: the
+    path 0 -> 2 -> 1 without an arrow 0 -> 1. Their scale rows (0, 2) and
+    (2, 1) keep the grid-step rule and are 0-interleaved but not
+    1-interleaved, so one shift would not decide nearness there. The
+    loader reports the hom, and loads it closed; a hand-built instance
+    over it is refused by the swarm and by certify."""
+    doc = worst_case_doc(1)
+    doc["valuations"][0].update(goal=2, map={"kind": "composed", "h": [0, 2]}, target={
+        "objects": 3, "hom": [[1, 0, 1], [0, 1, 1], [1, 1, 1]], "iso_classes": [[0], [1], [2]]})
+    doc["scale"] = {"grid_len": 2, "valuations_scaled": [[[0, 2], [2, 1]]]}
+    target = pc.TargetCategory(3, [[bool(x) for x in row]
+                                   for row in doc["valuations"][0]["target"]["hom"]],
+                               [[0], [1], [2]])
+    y, z = pc.ScaleObject(target, [0, 2]), pc.ScaleObject(target, [2, 1])
+    assert pc.epsilon_interleaved(y, z, 0) and not pc.epsilon_interleaved(y, z, 1)
+    _, problems = pc.load_instance(doc, strict=False)
+    assert ("rescat.hom.transitivity", "valuations[0].target") in {(p.code, p.path) for p in problems}
+    closed = pc.load_instance(doc, use_closure=True)
+    assert closed.objectives[0].target.hom[0][1]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path), "0", "--epsilon", "1"]) == 1
+    assert "rescat.hom.transitivity" in capsys.readouterr().err
+    assert main(["certify", str(path), "0", "--epsilon", "1", "--close-hom"]) == 0
+    assert "certified" in json.loads(capsys.readouterr().out)
+    inst = replace(closed, objectives=(replace(closed.objectives[0], target=target),))
+    refused = "target hom of objective 0 is not transitive: 0 -> 1 is a two-step path"
+    with pytest.raises(pc.StructureError, match=refused):
+        pc.run_swarm(inst, small(1))
+    with pytest.raises(pc.StructureError, match=refused):
+        pc.certify_neighborhood(inst, (0,), 1)
 
 
 @pytest.mark.parametrize("row", [[-1, 0, 0], [4, 0, 0], [3, 0, 1]],
